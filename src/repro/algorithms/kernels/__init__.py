@@ -27,11 +27,16 @@ suite (``tests/test_policy_kernels.py``) enforces the declared level:
       ``searchsorted(..., side="right")``).  The kernels replicate this
       pipeline with one ``rng.random()`` per live device per decision —
       verified against NumPy, including the resulting generator state.
-    * Draws that are *not* single-uniform (``Generator.choice`` without
-      probabilities uses rejection sampling of bounded integers, e.g. Smart
-      EXP3's exploration pick) are delegated verbatim to the device's private
-      generator inside scalar mask construction, so the stream position still
-      matches exactly.
+    * Smart EXP3 draws only at block starts, in two per-row passes over the
+      rows starting a block: first one ``random()`` greedy coin per row whose
+      greedy gate is open, then one ``random()`` per row left to the
+      distribution sample (CDF inversion as above).  Streams are private, so
+      the two passes leave every generator exactly where the scalar policy's
+      coin-then-sample sequence does.
+    * Smart EXP3's exploration pick is ``Generator.choice(candidates)``
+      without probabilities, which draws one bounded integer; the kernel
+      makes the same ``rng.integers(0, m)`` call over the ``m`` candidate
+      columns, which leaves the identical generator state.
     * Python left-to-right ``sum()`` reductions are replicated with
       sequential column accumulation
       (:func:`~repro.algorithms.kernels.base.sequential_row_sum`) rather than

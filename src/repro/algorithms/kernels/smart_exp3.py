@@ -13,14 +13,23 @@ Every Smart EXP3 mechanism keeps its state as rows of ``(devices × networks)``
 
 Per slot, devices *inside* a block are pure array traffic (one fused gain
 accumulation, tracker scatter-add, mask evaluation for switch-back/drop, and
-one batched weight update + probability block write).  Only devices *starting
-a block* run scalar mask construction: the *only* RNG consumers of Smart EXP3
-live in block starts (the exploration draw, the greedy coin, the distribution
-sample), and block starts shrink geometrically with block growth, so the
-scalar residue amortises to nothing.  RNG draws use each device's private
-generator exactly as the scalar policy would (direct ``choice``/``random``
-calls for exploration and the coin, single-uniform CDF inversion for the
-distribution sample), keeping the kernel bit-exact.
+one batched weight update + probability block write).  Devices *starting a
+block* are handled together by :meth:`SmartEXP3Kernel._start_blocks`, one
+pass of masked array steps per slot: the switch-back mask, the exploration
+picks, the vectorised greedy gate, the greedy coins, the greedy pick (a
+sequential column scan with the scalar tie rule), one batched distribution
+sample, and the block-state writes.  Block lengths ``ceil((1+β)**x)`` and
+``γ = min(1, b**-e)`` are gathered from lookup tables built with the scalar
+formulas.
+
+Block starts are Smart EXP3's *only* RNG consumers, and every draw still
+comes from the device's private generator, in the scalar policy's order:
+one ``integers(0, m)`` exploration pick (the draw ``Generator.choice`` makes
+over ``m`` candidates), or a ``random()`` coin followed, unless the greedy
+pick lands, by one ``random()`` consumed by single-uniform CDF inversion
+(:func:`~repro.algorithms.kernels.base.sample_rows`).  Streams are private,
+so taking every row's coin before every row's sample keeps the kernel
+bit-exact.
 
 State round-trips through the scalar policy at segment boundaries via the
 array-view accessors on the :mod:`repro.core` mechanism classes
@@ -55,7 +64,57 @@ _TYPE_LIST = (
 )
 _TYPE_CODE = {selection_type: code for code, selection_type in enumerate(_TYPE_LIST)}
 _EXPLORATION = _TYPE_CODE[SelectionType.EXPLORATION]
+_RANDOM = _TYPE_CODE[SelectionType.RANDOM]
+_RANDOM_AFTER_COIN = _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
+_GREEDY = _TYPE_CODE[SelectionType.GREEDY]
 _SWITCH_BACK = _TYPE_CODE[SelectionType.SWITCH_BACK]
+
+#: Lookup tables of block lengths (keyed by β, indexed by selection count)
+#: and of γ (keyed by the γ exponent, indexed by block index), grown lazily
+#: and shared by every kernel.  They live at module level on purpose: an
+#: instance ``ndarray`` whose length happened to equal the group size would
+#: be mistaken for row state by ``BatchKernel._row_array_attrs`` and pickled
+#: into every checkpoint.
+_LENGTH_TABLES: dict[float, np.ndarray] = {}
+_GAMMA_TABLES: dict[float, np.ndarray] = {}
+_TABLE_START = 32
+
+
+def _scalar_length(beta: float, count: int) -> int:
+    # BlockScheduler.block_length.
+    return int(math.ceil((1.0 + beta) ** count))
+
+
+def _scalar_gamma(exponent: float, block_index: int) -> float:
+    # SmartEXP3Policy._gamma without a fixed γ.
+    return min(1.0, max(block_index, 1) ** (-exponent))
+
+
+def _lookup(tables, key, entry, dtype, indices: np.ndarray) -> np.ndarray:
+    table = tables.get(key)
+    if table is not None:
+        try:
+            return table[indices]
+        except IndexError:  # an index past the table: grow it below
+            pass
+    size = max(
+        int(indices.max()) + 1 if indices.size else 0,
+        _TABLE_START,
+        0 if table is None else 2 * table.size,
+    )
+    table = np.asarray([entry(key, x) for x in range(size)], dtype=dtype)
+    tables[key] = table
+    return table[indices]
+
+
+def block_lengths(beta: float, counts: np.ndarray) -> np.ndarray:
+    """``ceil((1 + beta) ** count)`` per entry of ``counts``."""
+    return _lookup(_LENGTH_TABLES, beta, _scalar_length, np.int64, counts)
+
+
+def gamma_values(exponent: float, block_indices: np.ndarray) -> np.ndarray:
+    """``min(1, max(b, 1) ** -exponent)`` per entry of ``block_indices``."""
+    return _lookup(_GAMMA_TABLES, exponent, _scalar_gamma, float, block_indices)
 
 
 class SmartEXP3Kernel(BatchKernel):
@@ -197,17 +256,12 @@ class SmartEXP3Kernel(BatchKernel):
         config = self.config
         if config.fixed_gamma is not None:
             return np.full(block_indices.size, config.fixed_gamma)
-        gamma = np.empty(block_indices.size, dtype=float)
-        for value in np.unique(block_indices):
-            gamma[block_indices == value] = min(
-                1.0, max(int(value), 1) ** (-config.gamma_exponent)
-            )
-        return gamma
+        return gamma_values(config.gamma_exponent, block_indices)
 
     def _probability_rows(self, indices: np.ndarray) -> np.ndarray:
-        # Smart-EXP3's block machinery is data-dependent per-device control
-        # flow and stays host-bound; only the dense mixed-strategy math
-        # routes through the array-module seam.
+        # The block machinery draws from per-device NumPy generators and
+        # stays host-bound; only the dense mixed-strategy math routes
+        # through the array-module seam.
         gamma = self._gammas(self.block_index[indices])
         weights = self.weights[indices]
         total = self.xp.sum(weights, axis=1)
@@ -216,11 +270,6 @@ class SmartEXP3Kernel(BatchKernel):
             :, None
         ]
 
-    def _block_length(self, j: int, col: int) -> int:
-        return int(
-            math.ceil((1.0 + self.config.beta) ** int(self.sel_counts[j, col]))
-        )
-
     # ----------------------------------------------------------- block starts
     def begin_slot(self, slot: int) -> np.ndarray:
         need_new = (
@@ -228,85 +277,150 @@ class SmartEXP3Kernel(BatchKernel):
             | self.blk_trunc
             | (self.blk_elapsed >= self.blk_len)
         )
-        if need_new.any():
-            indices = np.nonzero(need_new)[0]
-            self.block_index[indices] += 1
-            prob_rows = self._probability_rows(indices)
-            for offset, j in enumerate(indices):
-                self._start_block(int(j), prob_rows[offset])
+        rows = need_new.nonzero()[0]
+        if rows.size:
+            self._start_blocks(rows)
         return self.cols[self.blk_net]
 
-    def _start_block(self, j: int, probs: np.ndarray) -> None:
+    def _start_blocks(self, rows: np.ndarray) -> None:
+        """Start a new block on every row of ``rows`` in one masked pass.
+
+        The steps claim rows in ``SmartEXP3Policy._start_new_block``'s
+        precedence (switch-back, exploration, greedy coin, distribution
+        sample); the module docstring gives the per-row draw order.
+        """
         config = self.config
-        rng = self.rngs[j]
-        self.last_probs[j] = probs
-        if config.enable_switchback and self.sb_pending[j] and self.sb_target[j] >= 0:
-            net_col = int(self.sb_target[j])
-            probability = 1.0
-            selection = _SWITCH_BACK
-            self.sb_pending[j] = False
-            self.sb_target[j] = _NONE
-        elif config.enable_initial_exploration and self.explore[j].any():
-            candidates = [self.nets[c] for c in np.nonzero(self.explore[j])[0]]
-            probability = 1.0 / len(candidates)
-            net_col = self.col_of[int(rng.choice(candidates))]
-            self.explore[j, net_col] = False
-            selection = _EXPLORATION
+        rngs = self.rngs
+        n = rows.size
+        self.block_index[rows] += 1
+        probs = self._probability_rows(rows)
+        self.last_probs[rows] = probs
+        net = np.empty(n, dtype=np.intp)
+        prob = np.empty(n, dtype=float)
+        kind = np.empty(n, dtype=np.int8)
+        claimed = None  # rows an earlier step already gave a network
+
+        # 1. Switch-back to the previous block's network.
+        if config.enable_switchback:
+            pending = self.sb_pending[rows]
+            if np.count_nonzero(pending):
+                claimed = pending & (self.sb_target[rows] != _NONE)
+                hit = rows[claimed]
+                net[claimed] = self.sb_target[hit]
+                prob[claimed] = 1.0
+                kind[claimed] = _SWITCH_BACK
+                self.sb_pending[hit] = False
+                self.sb_target[hit] = _NONE
+
+        # 2. Exploration: Generator.choice(candidates) is integers(0, m) on
+        # the same stream; the picked open column is found by a running count.
+        if config.enable_initial_exploration:
+            explore = self.explore[rows]
+            if np.count_nonzero(explore):
+                widths = explore.sum(axis=1)
+                exploring = widths > 0
+                if claimed is not None:
+                    exploring &= ~claimed
+                at = exploring.nonzero()[0]
+                if at.size:
+                    widths = widths[at]
+                    picks = [
+                        rngs[j].integers(0, m)
+                        for j, m in zip(rows[at].tolist(), widths.tolist())
+                    ]
+                    chosen = (
+                        explore[at].cumsum(axis=1) <= np.asarray(picks)[:, None]
+                    ).sum(axis=1)
+                    net[at] = chosen
+                    prob[at] = 1.0 / widths
+                    kind[at] = _EXPLORATION
+                    self.explore[rows[at], chosen] = False
+                    claimed = exploring if claimed is None else claimed | exploring
+
+        if claimed is None:
+            at, lrows, lprobs = self._arange[:n], rows, probs
         else:
-            net_col, probability, selection = self._choose_learned(j, probs, rng)
-        length = self._block_length(j, net_col)
-        self.sel_counts[j, net_col] += 1
-        self.blk_net[j] = net_col
-        self.blk_len[j] = length
-        self.blk_elapsed[j] = 0
-        self.blk_total[j] = 0.0
+            at = (~claimed).nonzero()[0]
+            lrows, lprobs = rows[at], probs[at]
+        if at.size:
+            gp = config.greedy_probability
+            considered = None
+            k = self.num_networks
+            # 3. Greedy gate; 4. coins; 5. greedy pick.
+            if config.enable_greedy and k > 1:
+                arange = self._arange[: at.size]
+                top = lprobs.argmax(axis=1)
+                spread = lprobs[arange, top] - lprobs[arange, lprobs.argmin(axis=1)]
+                near_uniform = spread <= 1.0 / (k - 1) + 1e-12
+                top_len = block_lengths(config.beta, self.sel_counts[lrows, top])
+                latched = self.latched[lrows]
+                unlatched = ~near_uniform & (latched == _NONE)
+                if np.count_nonzero(unlatched):
+                    latched = np.where(unlatched, top_len, latched)
+                    self.latched[lrows] = latched
+                considered = near_uniform | (top_len < latched)
+                coin = considered.nonzero()[0]
+                if coin.size:
+                    draws = np.array([rngs[j].random() for j in lrows[coin].tolist()])
+                    heads = coin[draws < gp]
+                    if heads.size:
+                        best = self._best_tracked_rows(lrows[heads])
+                        found = best != _NONE
+                        greedy = heads[found]
+                        if greedy.size:
+                            net[at[greedy]] = best[found]
+                            prob[at[greedy]] = gp
+                            kind[at[greedy]] = _GREEDY
+                            taken = np.zeros(at.size, dtype=bool)
+                            taken[greedy] = True
+                            rest = (~taken).nonzero()[0]
+                            at, lrows, lprobs = at[rest], lrows[rest], lprobs[rest]
+                            considered = considered[rest]
+            # 6. Sample the distribution with one uniform per remaining row.
+            if at.size:
+                draws = np.array([rngs[j].random() for j in lrows.tolist()])
+                chosen = sample_rows(lprobs, None, draws=draws)
+                picked = lprobs[self._arange[: at.size], chosen]
+                net[at] = chosen
+                if considered is None:
+                    prob[at] = picked
+                    kind[at] = _RANDOM
+                else:
+                    prob[at] = np.where(considered, picked * (1.0 - gp), picked)
+                    kind[at] = np.where(considered, _RANDOM_AFTER_COIN, _RANDOM)
+
+        # 7. Block state.
+        counts = self.sel_counts[rows, net]
+        self.sel_counts[rows, net] = counts + 1
+        self.blk_net[rows] = net
+        self.blk_len[rows] = block_lengths(config.beta, counts)
+        self.blk_elapsed[rows] = 0
+        self.blk_total[rows] = 0.0
         # Same one-ulp clamp as SmartEXP3Policy._start_new_block (a
         # one-network strategy set can push the sampled probability to 1+ulp).
-        self.blk_prob[j] = min(probability, 1.0)
-        self.blk_type[j] = selection
-        self.blk_trunc[j] = False
-        self.tail_len[j] = 0
-        self.pre_tail_sum[j] = 0.0
+        self.blk_prob[rows] = np.minimum(prob, 1.0)
+        self.blk_type[rows] = kind
+        self.blk_trunc[rows] = False
+        self.tail_len[rows] = 0
+        self.pre_tail_sum[rows] = 0.0
 
-    def _choose_learned(
-        self, j: int, probs: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, float, int]:
-        config = self.config
-        greedy_considered = config.enable_greedy and self._allows_greedy(j, probs)
-        if greedy_considered and rng.random() < config.greedy_probability:
-            best = self._best_tracked(j)
-            if best is not None:
-                return best, config.greedy_probability, _TYPE_CODE[SelectionType.GREEDY]
-        net_col = int(sample_rows(probs[None, :], [rng])[0])
-        if greedy_considered:
-            probability = float(probs[net_col]) * (1.0 - config.greedy_probability)
-            return net_col, probability, _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
-        return net_col, float(probs[net_col]), _TYPE_CODE[SelectionType.RANDOM]
+    def _best_tracked_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Highest average-gain column per row (``_NONE`` if none observed).
 
-    def _allows_greedy(self, j: int, probs: np.ndarray) -> bool:
-        k = probs.size
-        if k <= 1:
-            return False
-        spread = float(probs.max() - probs.min())
-        if spread <= 1.0 / (k - 1) + 1e-12:
-            return True
-        top_length = self._block_length(j, int(np.argmax(probs)))
-        if self.latched[j] == _NONE:
-            self.latched[j] = top_length
-        return top_length < self.latched[j]
-
-    def _best_tracked(self, j: int) -> int | None:
-        best_col = None
-        best_gain = -1.0
-        for col in range(self.num_networks):
-            count = self.gain_cnt[j, col]
-            if count == 0:
-                continue
-            gain = self.gain_sum[j, col] / count
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_col = col
-        return best_col
+        A sequential column scan keeps ``GainTracker.best_network``'s tie
+        rule: a later column takes over only if it beats the best so far by
+        more than ``1e-12``.
+        """
+        counts = self.gain_cnt[rows]
+        means = self.gain_sum[rows] / np.maximum(counts, 1)
+        means[counts == 0] = -np.inf  # never observed: never better
+        best = np.full(rows.size, _NONE, dtype=np.intp)
+        best_gain = np.full(rows.size, -1.0)
+        for col, gain in enumerate(means.T):
+            better = gain > best_gain + 1e-12
+            best[better] = col
+            best_gain[better] = gain[better]
+        return best
 
     # -------------------------------------------------------------- feedback
     def end_slot(
@@ -460,12 +574,11 @@ class SmartEXP3Kernel(BatchKernel):
             >= config.reset_probability_threshold
         )
         if periodic.any():
-            for offset in np.nonzero(periodic)[0]:
-                j = int(indices[offset])
-                periodic[offset] = (
-                    self._block_length(j, int(top[offset]))
-                    >= config.reset_block_length_threshold
-                )
+            at = np.flatnonzero(periodic)
+            periodic[at] = (
+                block_lengths(config.beta, self.sel_counts[indices[at], top[at]])
+                >= config.reset_block_length_threshold
+            )
         reset_rows = indices[periodic | self.drop_pending[indices]]
         if reset_rows.size:
             self._do_reset(reset_rows)

@@ -95,8 +95,12 @@ class VectorizedSlotExecutor(SlotExecutor):
         #: distribution-exact).  ``fuse_windows=False`` is the per-slot
         #: baseline the compiled benchmark suite measures against.
         self.fuse_windows = fuse_windows and use_kernels
+        # The registry key of this configuration, so profiles and telemetry
+        # tag runs with the backend that actually produced them.
         if not use_kernels:
             self.name = "vectorized-nokernel"
+        elif not fuse_windows:
+            self.name = "vectorized-nofuse"
 
     def execute(
         self,

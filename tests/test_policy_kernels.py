@@ -28,8 +28,12 @@ coverage).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.algorithms.base import Observation, Policy
@@ -46,8 +50,10 @@ from repro.algorithms.kernels import (
     sequential_row_sum,
 )
 from repro.algorithms.registry import register_policy
-from repro.game.network import Network, NetworkType
+from repro.game.device import Device
+from repro.game.network import Network, NetworkType, make_networks
 from repro.sim.delay import EmpiricalDelayModel
+from repro.sim.mobility import CoverageMap
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
     DeviceSpec,
@@ -161,6 +167,64 @@ class TestReplicationPrimitives:
         got = sequential_row_sum(matrix)
         assert got.tolist() == expected
 
+    def test_choice_without_probabilities_is_one_bounded_integer(self):
+        # Smart EXP3's exploration pick: the kernel draws integers(0, m) and
+        # indexes the candidate list, which must leave the stream exactly
+        # where Generator.choice(candidates) does.
+        for seed in range(200):
+            candidates = list(range(seed % 4, seed % 4 + 1 + seed % 5))
+            scalar_rng = np.random.default_rng(seed)
+            kernel_rng = np.random.default_rng(seed)
+            for _ in range(3):
+                expected = scalar_rng.choice(candidates)
+                got = candidates[kernel_rng.integers(0, len(candidates))]
+                assert got == expected
+                assert (
+                    scalar_rng.bit_generator.state == kernel_rng.bit_generator.state
+                )
+
+    @pytest.mark.parametrize("beta", (0.1, 0.37))
+    def test_block_length_table_matches_scheduler(self, beta):
+        from repro.algorithms.kernels import smart_exp3 as smart_kernel
+        from repro.core.blocking import BlockScheduler
+
+        smart_kernel._LENGTH_TABLES.pop(beta, None)
+        first = smart_kernel._TABLE_START
+        count = 3 * first
+        scheduler = BlockScheduler(beta=beta)
+        expected = []
+        for _ in range(count):
+            expected.append(scheduler.block_length(0))
+            scheduler.record_selection(0)
+        got = smart_kernel.block_lengths(beta, np.arange(first // 2))
+        assert got.tolist() == expected[: first // 2]
+        assert smart_kernel._LENGTH_TABLES[beta].size == first
+        # Lazy growth past the first table size.
+        got = smart_kernel.block_lengths(beta, np.arange(count)[::-1])
+        assert got.tolist() == expected[::-1]
+        assert smart_kernel._LENGTH_TABLES[beta].size >= count > first
+
+    @pytest.mark.parametrize("exponent", (1.0 / 3.0, 0.5, 2.0))
+    def test_gamma_table_matches_policy(self, exponent):
+        from repro.algorithms.kernels import smart_exp3 as smart_kernel
+        from repro.core.config import SmartEXP3Config
+        from repro.core.smart_exp3 import SmartEXP3Policy
+        from tests.conftest import make_context
+
+        smart_kernel._GAMMA_TABLES.pop(exponent, None)
+        policy = SmartEXP3Policy(
+            make_context(), SmartEXP3Config(gamma_exponent=exponent)
+        )
+        first = smart_kernel._TABLE_START
+        indices = np.arange(5 * first)
+        expected = [policy._gamma(int(b)) for b in indices]
+        got = smart_kernel.gamma_values(exponent, indices[: first // 2])
+        assert got.tolist() == expected[: first // 2]
+        assert smart_kernel._GAMMA_TABLES[exponent].size == first
+        got = smart_kernel.gamma_values(exponent, indices)
+        assert got.tolist() == expected
+        assert smart_kernel._GAMMA_TABLES[exponent].size >= indices.size
+
     def test_batched_switching_delays_are_stream_stable(self):
         model = EmpiricalDelayModel()
         networks = [
@@ -237,6 +301,90 @@ class TestBitExactKernels:
         scalar, kernel = run_scalar_and_kernel(scenario, 5)
         assert_results_identical(scalar, kernel)
         assert sum(kernel.resets.values()) > 0
+
+
+#: Policies whose kernel is SmartEXP3Kernel (the Table-III variants included).
+SMART_POLICIES = (
+    "smart_exp3",
+    "smart_exp3_no_reset",
+    "block_exp3",
+    "hybrid_block_exp3",
+)
+
+
+def generated_scenario(policy, bandwidths, num_devices, solo_every, horizon):
+    """Devices on every network, plus every ``solo_every``-th device confined
+    to network 0 — a one-network kernel group beside the main one."""
+    networks = make_networks(bandwidths)
+    ids = [network.network_id for network in networks]
+    coverage = CoverageMap.from_area_networks(
+        {"all": ids, "solo": ids[:1]}, default_area="all"
+    )
+    devices = [
+        Device(device_id=i, area_schedule={1: "solo"})
+        if i % solo_every == 0
+        else Device(device_id=i)
+        for i in range(num_devices)
+    ]
+    return Scenario(
+        name="generated",
+        networks=networks,
+        device_specs=[DeviceSpec(device=d, policy=policy) for d in devices],
+        coverage=coverage,
+        horizon_slots=horizon,
+    )
+
+
+class TestGeneratedSmartEXP3Equivalence:
+    def test_generated_scenarios_are_bit_exact(self):
+        """Kernel vs scalar on generated populations, with mixed block starts.
+
+        Every generated run must be bit-exact; across the runs, at least one
+        ``begin_slot`` batch must mix three or more selection types, so the
+        masked steps really interleave within one batch.
+        """
+        mixes = []
+        start_blocks = SmartEXP3Kernel._start_blocks
+
+        def recording(kernel, rows):
+            start_blocks(kernel, rows)
+            mixes.append(np.unique(kernel.blk_type[rows]).size)
+
+        @settings(max_examples=8, deadline=None)
+        @given(
+            policy=st.sampled_from(SMART_POLICIES),
+            # Drawn from a short menu so equal bandwidths (and with them
+            # tied average gains for the greedy pick) come up often.
+            bandwidths=st.lists(
+                st.sampled_from([1.0, 2.5, 4.0, 7.0, 11.0, 22.0, 30.0]),
+                min_size=1,
+                max_size=4,
+            ),
+            num_devices=st.integers(min_value=30, max_value=120),
+            solo_every=st.integers(min_value=2, max_value=12),
+            horizon=st.integers(min_value=20, max_value=150),
+            seed=st.integers(min_value=0, max_value=2**16),
+        )
+        # Long enough for distributions to concentrate, which latches the
+        # greedy gate (the generated horizons are too short for that).
+        @example(
+            policy="smart_exp3",
+            bandwidths=[1.0, 1.0, 30.0, 30.0],
+            num_devices=30,
+            solo_every=7,
+            horizon=300,
+            seed=3,
+        )
+        def check(policy, bandwidths, num_devices, solo_every, horizon, seed):
+            scenario = generated_scenario(
+                policy, bandwidths, num_devices, solo_every, horizon
+            )
+            scalar, kernel = run_scalar_and_kernel(scenario, seed)
+            assert_results_identical(scalar, kernel)
+
+        with mock.patch.object(SmartEXP3Kernel, "_start_blocks", recording):
+            check()
+        assert max(mixes) >= 3
 
 
 class _ScalarDitherPolicy(Policy):

@@ -181,3 +181,23 @@ class TestConcurrentAppend:
         tags = [json.loads(line)["tag"] for line in lines]  # every line parses
         for worker in range(workers):
             assert tags.count(f"worker{worker}") == per_worker
+
+
+class TestBackendTags:
+    def test_vectorized_registry_keys_round_trip(self, monkeypatch, tmp_path):
+        """Each vectorized backend tags its profiles with its registry key."""
+        from repro.sim.backends import available_backends, get_backend
+        from repro.sim.runner import run_simulation
+        from repro.sim.scenario import setting1_scenario
+
+        keys = [key for key in available_backends() if key.startswith("vectorized")]
+        assert set(keys) == {"vectorized", "vectorized-nokernel", "vectorized-nofuse"}
+        path = tmp_path / "profile.jsonl"
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv(PROFILE_PATH_ENV, str(path))
+        scenario = setting1_scenario(policy="exp3", num_devices=3, horizon_slots=5)
+        for key in keys:
+            assert get_backend(key).name == key
+            run_simulation(scenario, seed=0, backend=key)
+        tags = [json.loads(line)["tag"] for line in path.read_text().splitlines()]
+        assert tags == keys
