@@ -47,7 +47,6 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.algorithms.base import Policy
-from repro.xp import asnumpy, get_array_module
 
 
 @dataclass
@@ -110,7 +109,6 @@ def sample_rows(
     prob_matrix,
     rngs: Sequence[np.random.Generator],
     draws=None,
-    xp=None,
 ) -> np.ndarray:
     """One categorical sample per row, bit-compatible with ``Generator.choice``.
 
@@ -127,20 +125,14 @@ def sample_rows(
     row, which yields the *identical* double stream as ``n`` sequential
     ``.random()`` calls — so the buffered path stays bit-exact while paying
     the Python generator-call overhead once per window instead of per slot.
-    ``xp`` routes the array math through a non-NumPy namespace (seam:
-    :mod:`repro.xp`).
     """
-    if xp is None:
-        xp = get_array_module()
-    probs = prob_matrix / xp.sum(prob_matrix, axis=1, keepdims=True)
-    cdf = xp.cumsum(probs, axis=1)
+    probs = prob_matrix / np.sum(prob_matrix, axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     if draws is None:
         draws = np.asarray([rng.random() for rng in rngs], dtype=float)
-    if xp is not np:
-        draws = xp.asarray(draws)
     indices = (cdf <= draws[:, None]).sum(axis=1)
-    return xp.minimum(indices, prob_matrix.shape[1] - 1)
+    return np.minimum(indices, prob_matrix.shape[1] - 1)
 
 
 class BatchKernel(ABC):
@@ -166,6 +158,12 @@ class BatchKernel(ABC):
     #: starts) or none at all (Greedy) leave this ``False`` and the window
     #: machinery degrades to a per-slot no-op for them.
     uses_slot_draws: bool = False
+
+    #: Uniform doubles buffered per :meth:`prepare_window` call.  Both
+    #: executors cap a draw window at ``DRAW_BUDGET // size`` slots, so a
+    #: million-device group buffers a handful of slots (~32 MB) instead of
+    #: the whole horizon.
+    DRAW_BUDGET: int = 4_000_000
 
     @classmethod
     def group_key(cls, policy: Policy) -> Hashable | None:
@@ -210,16 +208,6 @@ class BatchKernel(ABC):
         # _drop_window_buffer so membership edits never slice or pad it.
         self._window_draws: np.ndarray | None = None
         self._window_pos = 0
-
-    @property
-    def xp(self):
-        """The active array namespace (:mod:`repro.xp` seam).
-
-        Resolved per access rather than cached on the instance: the kernel
-        state must stay free of module references so the sharded engine's
-        columnar checkpoint codec can pickle ``vars(kernel)`` wholesale.
-        """
-        return get_array_module()
 
     # ---------------------------------------------------------- draw windows
 
@@ -298,7 +286,6 @@ class BatchKernel(ABC):
         active device, physics is closed-form equal share, the delay model is
         stream-free, and no full-feedback consumer is active.
         """
-        xp = self.xp
         rows = self.rows
         net_ids = window.net_ids
         bandwidths = window.bandwidths
@@ -314,18 +301,17 @@ class BatchKernel(ABC):
             slot = window.start_slot + t
             idx = window.idx_lo + t
             cols = self.begin_slot(slot)
-            counts = xp.bincount(cols, minlength=num_networks)
-            rates = (bandwidths / xp.maximum(counts, 1))[cols]
-            host_cols = asnumpy(cols)
-            choices2d[rows, idx] = net_ids[host_cols]
-            rates2d[rows, idx] = asnumpy(rates)
-            switched = (prev != -1) & (prev != host_cols)
+            counts = np.bincount(cols, minlength=num_networks)
+            rates = (bandwidths / np.maximum(counts, 1))[cols]
+            choices2d[rows, idx] = net_ids[cols]
+            rates2d[rows, idx] = rates
+            switched = (prev != -1) & (prev != cols)
             if switched.any():
                 switch_rows = rows[switched]
-                delays2d[switch_rows, idx] = delay_table[host_cols[switched]]
+                delays2d[switch_rows, idx] = delay_table[cols[switched]]
                 switches2d[switch_rows, idx] = True
-            prev[:] = host_cols
-            gains = xp.minimum(rates / scale_ref, 1.0)
+            prev[:] = cols
+            gains = np.minimum(rates / scale_ref, 1.0)
             self.end_slot(slot, idx, gains, None)
 
     def record_probability_block(

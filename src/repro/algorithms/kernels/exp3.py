@@ -29,7 +29,6 @@ from repro.algorithms.kernels.base import (
     sequential_row_sum,
 )
 from repro.algorithms.kernels.compiled import exp3_window_kernel
-from repro.xp import asnumpy
 
 _NO_GAMMA = -1.0  # sentinel: decaying gamma (fixed gammas are in (0, 1])
 
@@ -42,22 +41,17 @@ class EXP3Kernel(BatchKernel):
     def __init__(self, entries, recorder) -> None:
         super().__init__(entries, recorder)
         policies = self.policies
-        xp = self.xp
         # EXP3Policy keeps its weights as an array aligned with
         # available_networks (exposed as weight_values), so the gather is a
         # plain row stack.
-        self.weights = xp.asarray(np.stack([p.weight_values for p in policies]))
-        self.rounds = xp.asarray(
-            np.asarray([p._round for p in policies], dtype=np.int64)
-        )
-        self.fixed_gamma = xp.asarray(
-            np.asarray(
-                [
-                    _NO_GAMMA if p._fixed_gamma is None else p._fixed_gamma
-                    for p in policies
-                ],
-                dtype=float,
-            )
+        self.weights = np.stack([p.weight_values for p in policies])
+        self.rounds = np.asarray([p._round for p in policies], dtype=np.int64)
+        self.fixed_gamma = np.asarray(
+            [
+                _NO_GAMMA if p._fixed_gamma is None else p._fixed_gamma
+                for p in policies
+            ],
+            dtype=float,
         )
         self._probs: np.ndarray | None = None
         self._last_local = np.zeros(self.size, dtype=np.intp)
@@ -70,32 +64,30 @@ class EXP3Kernel(BatchKernel):
         count (device cohorts share rounds, so this loop is O(1) in practice),
         matching ``EXP3Policy._gamma`` bit for bit.
         """
-        xp = self.xp
         gamma = self.fixed_gamma.copy()
         decay = gamma == _NO_GAMMA
         if decay.any():
-            rounds = asnumpy(self.rounds)[asnumpy(decay)]
+            rounds = self.rounds[decay]
             values = np.empty(rounds.size, dtype=float)
             for r in np.unique(rounds):
                 values[rounds == r] = min(1.0, max(int(r), 1) ** (-1.0 / 3.0))
-            gamma[decay] = xp.asarray(values)
+            gamma[decay] = values
         return gamma
 
     def begin_slot(self, slot: int) -> np.ndarray:
-        xp = self.xp
         self.rounds += 1
         gamma = self._gammas()
         weights = self.weights
-        total = xp.sum(weights, axis=1)
+        total = np.sum(weights, axis=1)
         k = self.num_networks
         probs = (1.0 - gamma)[:, None] * weights / total[:, None] + (gamma / k)[
             :, None
         ]
         self._probs = probs
-        local = sample_rows(probs, self.rngs, draws=self._take_draws(), xp=xp)
+        local = sample_rows(probs, self.rngs, draws=self._take_draws())
         self._last_local = local
         self._last_probability = probs[self._arange, local]
-        return self.cols[asnumpy(local)]
+        return self.cols[local]
 
     def end_slot(
         self,
@@ -104,11 +96,10 @@ class EXP3Kernel(BatchKernel):
         gains: np.ndarray,
         feedback: SlotFeedback | None = None,
     ) -> None:
-        xp = self.xp
         gamma = self._gammas()
-        estimated = gains / xp.maximum(self._last_probability, 1e-12)
+        estimated = gains / np.maximum(self._last_probability, 1e-12)
         k = self.num_networks
-        self.weights[self._arange, self._last_local] *= xp.exp(
+        self.weights[self._arange, self._last_local] *= np.exp(
             gamma * estimated / k
         )
         row_max = self.weights.max(axis=1)
@@ -119,16 +110,16 @@ class EXP3Kernel(BatchKernel):
         # the left-to-right accumulation before the block write.
         probs = self._probs
         total = sequential_row_sum(probs)
-        self.record_probability_block(slot_index, asnumpy(probs / total[:, None]))
+        self.record_probability_block(slot_index, probs / total[:, None])
 
     def advance_window(self, window: WindowPlan) -> None:
         """Fused window: compiled mega-loop when enabled, else interpreted.
 
         The compiled branch engages only when every precondition holds —
         numba compiled kernels enabled, a fully pre-drawn uniform buffer
-        covering the window, probability recording off, the NumPy namespace
-        active and no fixed-size mismatch; anything else falls back to the
-        generic interpreted loop, which stays bit-exact.
+        covering the window, probability recording off and no fixed-size
+        mismatch; anything else falls back to the generic interpreted loop,
+        which stays bit-exact.
         """
         jitted = exp3_window_kernel()
         draws = self._window_draws
@@ -136,7 +127,6 @@ class EXP3Kernel(BatchKernel):
             jitted is None
             or draws is None
             or self.recorder.probabilities is not None
-            or not isinstance(self.weights, np.ndarray)
             or draws.shape[1] - self._window_pos < window.n_slots
         ):
             super().advance_window(window)
@@ -185,11 +175,11 @@ class EXP3Kernel(BatchKernel):
         self._flush_rows(range(self.size))
 
     def _flush_rows(self, indices) -> None:
-        probs = None if self._probs is None else asnumpy(self._probs)
-        weights = asnumpy(self.weights)
-        rounds = asnumpy(self.rounds)
-        last_local = asnumpy(self._last_local)
-        last_probability = asnumpy(self._last_probability)
+        probs = self._probs
+        weights = self.weights
+        rounds = self.rounds
+        last_local = self._last_local
+        last_probability = self._last_probability
         for j in indices:
             policy = self.policies[j]
             policy.weight_values[:] = weights[j]

@@ -259,12 +259,9 @@ class SmartEXP3Kernel(BatchKernel):
         return gamma_values(config.gamma_exponent, block_indices)
 
     def _probability_rows(self, indices: np.ndarray) -> np.ndarray:
-        # The block machinery draws from per-device NumPy generators and
-        # stays host-bound; only the dense mixed-strategy math routes
-        # through the array-module seam.
         gamma = self._gammas(self.block_index[indices])
         weights = self.weights[indices]
-        total = self.xp.sum(weights, axis=1)
+        total = np.sum(weights, axis=1)
         k = self.num_networks
         return (1.0 - gamma)[:, None] * weights / total[:, None] + (gamma / k)[
             :, None

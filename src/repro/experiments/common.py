@@ -15,7 +15,6 @@ from repro.sim.backends import available_backends
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many
 from repro.sim.scenario import Scenario
-from repro.xp import resolve_array_module
 
 #: The policies of Table II and Table III, in the order the paper lists them.
 ALL_POLICIES: tuple[str, ...] = (
@@ -86,13 +85,6 @@ class ExperimentConfig:
         invocation of the *same* experiment configuration (requires
         ``shards``); resumed results are bit-identical to an
         uninterrupted run.
-    array_module:
-        Array namespace the batched kernels compute in (:mod:`repro.xp`).
-        ``None`` (default) leaves the process-global seam untouched — NumPy
-        unless something else set it; ``"numpy"`` pins NumPy explicitly; a
-        name like ``"cupy"`` resolves that module once per experiment and
-        runs the kernel math there (distribution-exact, not bit-exact).
-        Validated eagerly so a typo fails at config time, not mid-run.
     cache:
         Run-registry mode for reduced runs (:mod:`repro.registry`):
         ``"off"`` (default) always simulates, ``"reuse"`` loads cached
@@ -118,7 +110,6 @@ class ExperimentConfig:
     shards: int | None = None
     checkpoint: object | None = None
     resume_from: str | None = None
-    array_module: str | None = None
     cache: object = "off"
     telemetry_dir: str | None = None
 
@@ -157,8 +148,6 @@ class ExperimentConfig:
                 "checkpoint/resume_from require shards= (durability is "
                 "implemented by the sharded backend)"
             )
-        if self.array_module is not None:
-            resolve_array_module(self.array_module)  # fail fast on typos
         # Imported lazily: the registry imports the runner, which the
         # experiments layer sits on top of.
         from repro.registry.store import resolve_cache
@@ -218,7 +207,6 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
         shards=config.shards,
         checkpoint=config.checkpoint,
         resume_from=config.resume_from,
-        array_module=config.array_module,
         cache=config.cache,
     )
 

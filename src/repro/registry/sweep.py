@@ -106,7 +106,6 @@ def run_sweep(
     chunksize: int | None = None,
     record_probabilities: bool | None = None,
     progress: Callable[[str, int, int], None] | None = None,
-    array_module: str | None = None,
 ) -> SweepReport:
     """Run a sweep incrementally against the registry (see module docstring).
 
@@ -160,7 +159,6 @@ def run_sweep(
             chunksize=chunksize,
             record_probabilities=record_probabilities,
             progress=case_progress,
-            array_module=array_module,
             cache=spec if spec.enabled else "off",
         )
     return SweepReport(

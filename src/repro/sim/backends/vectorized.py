@@ -69,11 +69,6 @@ from repro.sim.backends.membership import (
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
 
-#: Uniform doubles buffered per :meth:`BatchKernel.prepare_window` call; caps
-#: window length at ``budget // group_size`` so a million-device group still
-#: buffers a handful of slots (~32 MB) instead of the whole horizon.
-_DRAW_BUDGET = 4_000_000
-
 
 class VectorizedSlotExecutor(SlotExecutor):
     """Batched per-slot physics with in-loop topology edits and policy kernels."""
@@ -298,7 +293,7 @@ class VectorizedSlotExecutor(SlotExecutor):
                 and seg_end - seg_start >= 2
             ):
                 kernel = epoch_kernels[0]
-                window_cap = max(2, _DRAW_BUDGET // max(kernel.size, 1))
+                window_cap = max(2, kernel.DRAW_BUDGET // max(kernel.size, 1))
                 prev = prev_col[kernel.rows].copy()
                 t0 = prof.now() if prof is not None else 0.0
                 slot = seg_start
@@ -348,7 +343,7 @@ class VectorizedSlotExecutor(SlotExecutor):
                 (kernel, kernel_pos[id(kernel)]) for kernel in epoch_kernels
             ]
             draw_spans = [
-                (kernel, max(1, _DRAW_BUDGET // max(kernel.size, 1)))
+                (kernel, max(1, kernel.DRAW_BUDGET // max(kernel.size, 1)))
                 for kernel in epoch_kernels
                 if kernel.uses_slot_draws
             ]

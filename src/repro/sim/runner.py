@@ -59,7 +59,6 @@ from repro.sim.backends import DEFAULT_BACKEND, RunSeed, SlotExecutor, get_backe
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.telemetry import get_telemetry
-from repro.xp import array_module_name, set_array_module
 
 
 def run_simulation(
@@ -67,21 +66,13 @@ def run_simulation(
     seed: int = 0,
     backend: str = DEFAULT_BACKEND,
     record_probabilities: bool = True,
-    array_module: str | None = None,
 ) -> SimulationResult:
     """Execute one run of ``scenario`` and return its full slot-by-slot record.
 
     ``record_probabilities=False`` skips the per-slot probability tensor (the
     dominant share of a run's footprint); all other result blocks stay
-    bit-identical.  ``array_module`` selects the array namespace the batched
-    kernels compute in (:mod:`repro.xp`): ``None`` leaves the process-global
-    seam untouched (NumPy unless something set it), any other value —
-    ``"numpy"``, ``"cupy"``, a module — is resolved once here and stays
-    active for the process.  Only NumPy is bit-exact; alternate namespaces
-    are distribution-exact.
+    bit-identical.
     """
-    if array_module is not None:
-        set_array_module(array_module)
     return get_backend(backend).execute(
         scenario, seed, record_probabilities=record_probabilities
     )
@@ -190,15 +181,8 @@ def _init_worker(
     reducer,
     record_probabilities: bool,
     base_seed: int,
-    array_module: str = "numpy",
 ) -> None:
-    """Pool initializer: receive the run context once per worker process.
-
-    The array-module seam is process-global, so it travels by *name* (modules
-    do not pickle) and is re-resolved in each worker — fork inherits the
-    parent's setting anyway, spawn/forkserver need the explicit install.
-    """
-    set_array_module(array_module)
+    """Pool initializer: receive the run context once per worker process."""
     _WORKER_CONTEXT["scenario"] = scenario
     _WORKER_CONTEXT["executor"] = executor
     _WORKER_CONTEXT["reducer"] = reducer
@@ -340,7 +324,6 @@ def _run_many_cached(
                 reducer,
                 record_probabilities,
                 base_seed,
-                array_module_name(),
             ),
         ) as pool:
             for index, payload, seconds in pool.map(
@@ -392,7 +375,6 @@ def _run_many_impl(
     progress: Callable[[int, int], None] | None = None,
     checkpoint=None,
     resume_from=None,
-    array_module: str | None = None,
     cache="off",
 ):
     """Run ``scenario`` ``runs`` times with independently spawned seeds.
@@ -441,11 +423,6 @@ def _run_many_impl(
         invocation with the *same* scenario/seed/shard configuration
         (requires ``shards=``).  Completed slots are not re-executed and
         the resumed results are bit-identical to an uninterrupted run.
-    array_module:
-        Array namespace for the batched kernels (:mod:`repro.xp`): ``None``
-        leaves the process-global seam untouched; ``"numpy"``, ``"cupy"`` or
-        a module name is resolved once up front, installed in every pool
-        worker, and stays active for the process.  Only NumPy is bit-exact.
     cache:
         ``"off"`` (default) always simulates.  ``"reuse"`` consults the run
         registry (:mod:`repro.registry`): cells whose canonical fingerprint
@@ -487,8 +464,6 @@ def _run_many_impl(
             "implemented by the sharded backend (runs execute serially and "
             "workers= parallelizes inside each run)"
         )
-    if array_module is not None:
-        set_array_module(array_module)
     # Imported lazily: repro.analysis modules import repro.sim.metrics, so a
     # top-level import here would be circular through repro.sim.__init__.
     from repro.analysis.reducers import resolve_reducer
@@ -555,7 +530,6 @@ def _run_many_impl(
                 reducer,
                 record_probabilities,
                 base_seed,
-                array_module_name(),
             ),
         ) as pool:
             payloads = []
@@ -619,7 +593,6 @@ def run_many(
     progress: Callable[[int, int], None] | None = None,
     checkpoint=None,
     resume_from=None,
-    array_module: str | None = None,
     cache="off",
 ):
     # Telemetry shim around the real implementation: the experiment-level
@@ -649,7 +622,6 @@ def run_many(
         progress=progress,
         checkpoint=checkpoint,
         resume_from=resume_from,
-        array_module=array_module,
         cache=cache,
     )
     if telemetry is not None:

@@ -52,12 +52,6 @@ from repro.sim.sharded.plan import ShardSpec
 
 _U64 = (1 << 64) - 1
 
-#: Uniform doubles buffered per kernel draw window (mirrors the vectorized
-#: backend's budget): caps the window so a large shard buffers a few slots
-#: of pre-drawn uniforms, not the whole horizon.
-_DRAW_BUDGET = 4_000_000
-
-
 def _pack_rng_states(policies) -> tuple:
     """Pack per-row bit-generator states into columnar arrays.
 
@@ -140,7 +134,6 @@ class ShardEngine:
         record_probabilities: bool = True,
         dtype: str = "float64",
         window: int | None = None,
-        use_kernels: bool = True,
     ) -> None:
         scenario = spec.materialize()
         self.spec = spec
@@ -194,10 +187,7 @@ class ShardEngine:
         # ---- persistent run state (the membership layer shared with the
         # vectorized backend owns the execution classes, kernel groups and
         # frozen bookkeeping, and applies topology events in place)
-        self.membership = MembershipState(
-            self.runtimes_by_row, self.recorder, use_kernels
-        )
-        self.use_kernels = use_kernels
+        self.membership = MembershipState(self.runtimes_by_row, self.recorder)
         self.needs_feedback = any(
             p.needs_full_feedback for p in self.policies_by_row
         )
@@ -394,8 +384,8 @@ class ShardEngine:
 
     # ---------------------------------------------------------- slot phases
 
-    def _draw_span(self, slot: int, size: int) -> int:
-        """Draw-window length starting at ``slot`` for a ``size``-row kernel.
+    def _draw_span(self, slot: int, kernel) -> int:
+        """Draw-window length starting at ``slot`` for ``kernel``.
 
         Lockstep synchronisation keeps the *slot protocol* per slot, but the
         per-row uniform draws can still be amortised: the window covers the
@@ -417,7 +407,7 @@ class ShardEngine:
             if barrier - slot + 1 < span:
                 span = barrier - slot + 1
                 reason = "checkpoint_barrier"
-        budget = _DRAW_BUDGET // max(size, 1)
+        budget = kernel.DRAW_BUDGET // max(kernel.size, 1)
         if budget < span:
             span = budget
             reason = "draw_budget"
@@ -436,7 +426,7 @@ class ShardEngine:
         choice_col = self.choice_col
         for kernel in membership.kernels_by_key.values():
             if kernel.uses_slot_draws and kernel.window_exhausted:
-                kernel.prepare_window(self._draw_span(slot, kernel.size))
+                kernel.prepare_window(self._draw_span(slot, kernel))
             choice_col[kernel.rows] = kernel.begin_slot(slot)
         network_col = self.network_col
         for row in sorted(membership.fallback_rows):

@@ -119,7 +119,6 @@ class RunParams:
     record_probabilities: bool
     dtype: str
     window: int | None
-    use_kernels: bool
     coupled: bool
     num_networks: int
     total_devices: int
@@ -193,7 +192,6 @@ def _build_group(
             params.record_probabilities,
             params.dtype,
             params.window,
-            params.use_kernels,
         )
         for spec, seeds in zip(specs, seed_slices)
     ]
@@ -667,7 +665,6 @@ class ShardedSlotExecutor(SlotExecutor):
         workers: int = 1,
         dtype: str = "float64",
         window_slots: int = DEFAULT_WINDOW_SLOTS,
-        use_kernels: bool = True,
         strict: bool = False,
         heartbeat_seconds: float | None = None,
         checkpoint: CheckpointConfig | None = None,
@@ -685,7 +682,6 @@ class ShardedSlotExecutor(SlotExecutor):
         self.workers = workers
         self.dtype = dtype
         self.window_slots = window_slots
-        self.use_kernels = use_kernels
         self.strict = strict
         self.heartbeat_seconds = heartbeat_seconds
         self.checkpoint = checkpoint
@@ -699,7 +695,6 @@ class ShardedSlotExecutor(SlotExecutor):
             workers=self.workers,
             dtype=self.dtype,
             window_slots=self.window_slots,
-            use_kernels=self.use_kernels,
             strict=self.strict,
             heartbeat_seconds=self.heartbeat_seconds,
             checkpoint=self.checkpoint,
@@ -757,7 +752,7 @@ class ShardedSlotExecutor(SlotExecutor):
             )
         from repro.sim.backends.vectorized import VectorizedSlotExecutor
 
-        return VectorizedSlotExecutor(use_kernels=self.use_kernels)
+        return VectorizedSlotExecutor()
 
     # ------------------------------------------------------------ execution
 
@@ -891,7 +886,6 @@ class ShardedSlotExecutor(SlotExecutor):
                 record_probabilities=record_probabilities,
                 dtype=self.dtype,
                 window=window,
-                use_kernels=self.use_kernels,
                 coupled=coupled,
                 reducer=type(reducer).__name__ if reducer is not None else "gather",
             )
@@ -902,7 +896,6 @@ class ShardedSlotExecutor(SlotExecutor):
             record_probabilities=record_probabilities,
             dtype=self.dtype,
             window=window,
-            use_kernels=self.use_kernels,
             coupled=coupled,
             num_networks=num_networks,
             total_devices=plan.num_devices,

@@ -1,6 +1,6 @@
-"""Fused-window, compiled-kernel, array-seam and profiling coverage.
+"""Fused-window, compiled-kernel and profiling coverage.
 
-Four contracts from the compiled-fast-path layer:
+Five contracts from the compiled-fast-path layer:
 
 * **Interpreted fused windows are bit-exact.**  Whenever the vectorized
   executor fuses a membership-stable window (stream-free delay model, one
@@ -16,16 +16,17 @@ Four contracts from the compiled-fast-path layer:
   jitted kernel goes through the same assertions.
 * **Requesting compilation without numba degrades gracefully**: one logged
   warning, interpreted windowed execution, results still bit-exact.
-* **The array-module seam is real**: kernel math routes every namespace
-  access through :func:`repro.xp.get_array_module`, proven with a tracing
-  proxy module, and the profiling hooks emit per-phase JSON when enabled.
+* **Draw windows cut by the buffer budget stay bit-exact**: with
+  ``BatchKernel.DRAW_BUDGET`` shrunk so windows end inside a topology-stable
+  epoch, fused, per-slot and checkpointed sharded runs match the event
+  backend.
+* **The profiling hooks emit per-phase JSON when enabled.**
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-from types import ModuleType
 
 import numpy as np
 import pytest
@@ -39,8 +40,9 @@ from repro.algorithms.kernels.compiled import (
     exp3_window_impl,
     numba_version,
 )
+from repro.algorithms.kernels.base import BatchKernel
 from repro.algorithms.kernels.exp3 import EXP3Kernel
-from repro.sim.delay import ConstantDelayModel, NoDelayModel
+from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayModel
 from repro.sim.mobility import NetworkDynamics
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
@@ -50,7 +52,8 @@ from repro.sim.scenario import (
     mobility_scenario,
     setting1_scenario,
 )
-from repro.xp import using_array_module
+from repro.sim.sharded import CheckpointConfig, ShardedSlotExecutor
+from repro.telemetry import read_events, set_telemetry_dir
 
 from tests.test_backends import assert_results_identical
 
@@ -275,40 +278,84 @@ class TestGracefulSkip:
         assert not compiled_enabled()
 
 
-class TestArrayModuleSeam:
-    def test_kernel_math_routes_through_the_seam(self):
-        # A tracing namespace: a real module object (resolve_array_module
-        # accepts modules as-is) delegating every attribute to NumPy while
-        # recording the names the kernels actually pull through the seam.
-        accessed: set[str] = set()
-        tracer = ModuleType("tracing_numpy")
-        tracer.__getattr__ = lambda name: (
-            accessed.add(name) or getattr(np, name)
-        )
+class TestDrawBudgetWindows:
+    """Draw windows cut by the buffer budget inside a topology-stable epoch.
 
+    At the real budget no test population is large enough for the cut to
+    fire, so the budget is shrunk to a few slots' worth of draws per group.
+    """
+
+    DEVICES = 6
+    SLOTS = 60
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        # Three slots of draws for the whole group; six for a 3-row shard.
+        monkeypatch.setattr(BatchKernel, "DRAW_BUDGET", 3 * self.DEVICES)
+
+    @pytest.fixture
+    def window_sizes(self, monkeypatch):
+        sizes: list[int] = []
+        original = BatchKernel.prepare_window
+
+        def spy(kernel, n_slots):
+            sizes.append(n_slots)
+            return original(kernel, n_slots)
+
+        monkeypatch.setattr(BatchKernel, "prepare_window", spy)
+        return sizes
+
+    def _scenario(self, delay_model=None):
         scenario = setting1_scenario(
-            policy="exp3", num_devices=6, horizon_slots=60
+            policy="exp3", num_devices=self.DEVICES, horizon_slots=self.SLOTS
         )
-        reference = run_simulation(scenario, seed=2, backend="vectorized")
-        with using_array_module(tracer):
-            traced = run_simulation(scenario, seed=2, backend="vectorized")
-        # Delegating to NumPy must keep results bit-exact...
-        assert_results_identical(reference, traced)
-        # ...and the hot path must genuinely consult the seam.
-        assert "asarray" in accessed
-        assert {"exp", "bincount"} & accessed, accessed
+        if delay_model is None:
+            assert isinstance(scenario.delay_model, EmpiricalDelayModel)
+            return scenario
+        return replace(scenario, delay_model=delay_model)
 
-    def test_unknown_module_fails_fast(self):
-        from repro.xp import resolve_array_module
+    @staticmethod
+    def _window_reasons(directory) -> dict[str, int]:
+        reasons: dict[str, int] = {}
+        for event in read_events(directory):
+            if event["type"] == "fused_windows":
+                for reason, count in event["reasons"].items():
+                    reasons[reason] = reasons.get(reason, 0) + count
+        return reasons
 
-        with pytest.raises(ImportError, match="no_such_array_library"):
-            resolve_array_module("no_such_array_library")
+    def test_vectorized_fused_windows(self, tmp_path, window_sizes):
+        scenario = self._scenario(NoDelayModel())
+        set_telemetry_dir(tmp_path)
+        fused = run_simulation(scenario, seed=3, backend="vectorized")
+        set_telemetry_dir(None)
+        assert max(window_sizes) == 3 and len(window_sizes) == self.SLOTS // 3
+        assert self._window_reasons(tmp_path)["draw_budget"] >= 1
+        event = run_simulation(scenario, seed=3, backend="event")
+        assert_results_identical(event, fused)
 
-    def test_experiment_config_validates_array_module(self):
-        from repro.experiments.common import ExperimentConfig
+    def test_vectorized_per_slot_empirical_delays(self, window_sizes):
+        scenario = self._scenario()
+        vectorized = run_simulation(scenario, seed=3, backend="vectorized")
+        assert max(window_sizes) == 3 and len(window_sizes) == self.SLOTS // 3
+        event = run_simulation(scenario, seed=3, backend="event")
+        assert_results_identical(event, vectorized)
 
-        with pytest.raises(ImportError, match="definitely_not_installed"):
-            ExperimentConfig(array_module="definitely_not_installed")
+    def test_sharded_with_checkpoints(self, tmp_path, window_sizes):
+        scenario = self._scenario()
+        executor = ShardedSlotExecutor(
+            shards=2,
+            workers=1,
+            checkpoint=CheckpointConfig(every_slots=10, dir=tmp_path / "ckpt"),
+        )
+        set_telemetry_dir(tmp_path / "telemetry")
+        sharded = executor.execute(scenario, seed=3)
+        set_telemetry_dir(None)
+        assert max(window_sizes) == 6
+        reasons = self._window_reasons(tmp_path / "telemetry")
+        assert reasons["draw_budget"] >= 1
+        assert reasons["checkpoint_barrier"] >= 1
+        event = run_simulation(scenario, seed=3, backend="event")
+        assert_results_identical(event, sharded)
 
 
 class TestProfiling:

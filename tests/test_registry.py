@@ -4,8 +4,8 @@ skip-if-cached ``run_many`` and incremental sweeps.
 The invariants pinned here are the registry's contract:
 
 * the cell fingerprint covers exactly the result-determining configuration
-  — identical across ``backend``/``workers``/``shards``/``array_module``/
-  checkpoint settings and dict-ordering permutations, different for any
+  — identical across ``backend``/``workers``/``shards``/checkpoint
+  settings and dict-ordering permutations, different for any
   result-affecting change (seed, horizon, gain model, recording options,
   reducer parameters);
 * a cache hit returns value-bit-identical reducer output to a cold run;
@@ -271,8 +271,8 @@ class TestCachedRunMany:
         assert _canonical(warm) == _canonical(off)
 
     def test_execution_knobs_share_the_cache(self, tiny_setting1, store, spec):
-        """backend / workers / shards / chunksize / array_module / checkpoint
-        settings address the same cells — the equivalence suite guarantees
+        """backend / workers / shards / chunksize / checkpoint settings
+        address the same cells — the equivalence suite guarantees
         they cannot change results."""
         baseline = run_many(
             tiny_setting1, 2, reduce="summary", backend="event", cache=spec
@@ -280,7 +280,6 @@ class TestCachedRunMany:
         assert store.stored == 2
         variants = [
             dict(backend="vectorized", workers=2, chunksize=1),
-            dict(backend="vectorized", array_module="numpy"),
             dict(backend="sharded", shards=2),
         ]
         for knobs in variants:
