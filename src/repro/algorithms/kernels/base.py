@@ -1,8 +1,8 @@
 """The :class:`BatchKernel` protocol and shared array helpers.
 
 A batch kernel executes *all* devices of one policy family as array programs
-over ``(num_devices × num_networks)`` NumPy state.  The vectorized backend
-groups the live (non-frozen) devices of a segment by
+over ``(num_devices × num_networks)`` NumPy state.  The batched slot engine
+(:mod:`repro.sim.sharded.engine`) groups the live (non-frozen) devices by
 ``(kernel class, group key)`` — devices in one group share the policy class,
 the visible-network set and any configuration the kernel declares relevant —
 builds one kernel per group, and replaces the ``2·N`` per-slot Python calls
@@ -40,6 +40,7 @@ Python's left-to-right ``sum()`` exactly.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -69,11 +70,11 @@ class SlotFeedback:
 class WindowPlan:
     """Everything a kernel needs to advance a membership-stable window.
 
-    Assembled by the executor when one kernel covers every active device on
+    Assembled by the engine when one kernel covers every active device on
     the closed-form equal-share physics with a stream-free delay model: slot
     range, recorder blocks, the per-network stream-free delay table and the
     previous-choice columns (``prev``, *global* network columns aligned with
-    the kernel's rows, -1 = never chose; mutated in place so the executor's
+    the kernel's rows, -1 = never chose; mutated in place so the engine's
     switch detection resumes seamlessly after the window).
     """
 
@@ -135,6 +136,55 @@ def sample_rows(
     return np.minimum(indices, prob_matrix.shape[1] - 1)
 
 
+#: Lookup tables of Smart EXP3 block lengths (keyed by β, indexed by
+#: selection count) and of the decaying γ of EXP3 and Smart EXP3 (keyed by
+#: the γ exponent, indexed by round or block index), grown lazily and shared
+#: by every kernel.  They live at module level on purpose: an instance
+#: ``ndarray`` whose length happened to equal the group size would be
+#: mistaken for row state by ``BatchKernel._row_array_attrs`` and pickled
+#: into every checkpoint.
+_LENGTH_TABLES: dict[float, np.ndarray] = {}
+_GAMMA_TABLES: dict[float, np.ndarray] = {}
+_TABLE_START = 32
+
+
+def _scalar_length(beta: float, count: int) -> int:
+    # BlockScheduler.block_length.
+    return int(math.ceil((1.0 + beta) ** count))
+
+
+def _scalar_gamma(exponent: float, block_index: int) -> float:
+    # SmartEXP3Policy._gamma / EXP3Policy._gamma without a fixed γ.
+    return min(1.0, max(block_index, 1) ** (-exponent))
+
+
+def _lookup(tables, key, entry, dtype, indices: np.ndarray) -> np.ndarray:
+    table = tables.get(key)
+    if table is not None:
+        try:
+            return table[indices]
+        except IndexError:  # an index past the table: grow it below
+            pass
+    size = max(
+        int(indices.max()) + 1 if indices.size else 0,
+        _TABLE_START,
+        0 if table is None else 2 * table.size,
+    )
+    table = np.asarray([entry(key, x) for x in range(size)], dtype=dtype)
+    tables[key] = table
+    return table[indices]
+
+
+def block_lengths(beta: float, counts: np.ndarray) -> np.ndarray:
+    """``ceil((1 + beta) ** count)`` per entry of ``counts``."""
+    return _lookup(_LENGTH_TABLES, beta, _scalar_length, np.int64, counts)
+
+
+def gamma_values(exponent: float, block_indices: np.ndarray) -> np.ndarray:
+    """``min(1, max(b, 1) ** -exponent)`` per entry of ``block_indices``."""
+    return _lookup(_GAMMA_TABLES, exponent, _scalar_gamma, float, block_indices)
+
+
 class BatchKernel(ABC):
     """Batched execution of one group of devices sharing a policy family."""
 
@@ -159,8 +209,8 @@ class BatchKernel(ABC):
     #: machinery degrades to a per-slot no-op for them.
     uses_slot_draws: bool = False
 
-    #: Uniform doubles buffered per :meth:`prepare_window` call.  Both
-    #: executors cap a draw window at ``DRAW_BUDGET // size`` slots, so a
+    #: Uniform doubles buffered per :meth:`prepare_window` call.  The engine
+    #: caps a draw window at ``DRAW_BUDGET // size`` slots, so a
     #: million-device group buffers a handful of slots (~32 MB) instead of
     #: the whole horizon.
     DRAW_BUDGET: int = 4_000_000
@@ -181,7 +231,7 @@ class BatchKernel(ABC):
         recorder,
     ) -> None:
         """Gather ``entries`` (``(row, runtime, policy)`` as produced by the
-        vectorized backend) into array state.
+        membership layer) into array state.
         """
         self.rows = np.asarray([e[0] for e in entries], dtype=np.intp)
         self.runtimes = [e[1] for e in entries]
@@ -217,7 +267,7 @@ class BatchKernel(ABC):
         ``Generator.random(n)`` yields the identical double stream as ``n``
         sequential ``.random()`` calls, so pre-drawing is bit-exact; it
         amortises the dominant per-row Python generator call over the window.
-        The caller (executor/engine) must size ``n_slots`` so the buffer is
+        The caller (the engine) must size ``n_slots`` so the buffer is
         exhausted before the next topology event, checkpoint or flush — a
         partially consumed buffer at a membership edit is a stream-contract
         violation and raises in :meth:`_drop_window_buffer`.
@@ -274,7 +324,7 @@ class BatchKernel(ABC):
 
         The generic implementation is the *interpreted* fused loop: it runs
         the same ``begin_slot`` → equal-share physics → switch/delay →
-        ``end_slot`` sequence the executor's slot loop performs, with the
+        ``end_slot`` sequence the engine's slot protocol performs, with the
         per-slot Python overhead (fallback/frozen branches, environment
         calls, dict bookkeeping) eliminated and delays resolved from the
         stream-free per-network table — bit-exact with the per-slot path by
@@ -282,7 +332,7 @@ class BatchKernel(ABC):
         (:class:`~repro.algorithms.kernels.exp3.EXP3Kernel` when numba is
         enabled).
 
-        Preconditions (enforced by the executor): this kernel covers every
+        Preconditions (enforced by the engine): this kernel covers every
         active device, physics is closed-form equal share, the delay model is
         stream-free, and no full-feedback consumer is active.
         """

@@ -25,6 +25,7 @@ from repro.algorithms.kernels.base import (
     BatchKernel,
     SlotFeedback,
     WindowPlan,
+    gamma_values,
     sample_rows,
     sequential_row_sum,
 )
@@ -58,20 +59,13 @@ class EXP3Kernel(BatchKernel):
         self._last_probability = np.ones(self.size, dtype=float)
 
     def _gammas(self) -> np.ndarray:
-        """Per-row exploration rate, replicating the scalar arithmetic.
-
-        The decayed rate is computed with Python ``**`` per *distinct* round
-        count (device cohorts share rounds, so this loop is O(1) in practice),
-        matching ``EXP3Policy._gamma`` bit for bit.
-        """
+        """Per-row exploration rate: the fixed γ, or the decaying
+        ``min(1, r**(-1/3))`` gathered from the table built with
+        ``EXP3Policy._gamma``'s scalar formula."""
         gamma = self.fixed_gamma.copy()
         decay = gamma == _NO_GAMMA
         if decay.any():
-            rounds = self.rounds[decay]
-            values = np.empty(rounds.size, dtype=float)
-            for r in np.unique(rounds):
-                values[rounds == r] = min(1.0, max(int(r), 1) ** (-1.0 / 3.0))
-            gamma[decay] = values
+            gamma[decay] = gamma_values(1.0 / 3.0, self.rounds[decay])
         return gamma
 
     def begin_slot(self, slot: int) -> np.ndarray:

@@ -44,11 +44,15 @@ reproduce the true block total and elapsed-slot count bit for bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.algorithms.kernels.base import BatchKernel, SlotFeedback, sample_rows
+from repro.algorithms.kernels.base import (
+    BatchKernel,
+    SlotFeedback,
+    block_lengths,
+    gamma_values,
+    sample_rows,
+)
 from repro.core.blocking import Block, SelectionType
 from repro.core.smart_exp3 import SmartEXP3Policy
 from repro.core.switchback import BlockHistory
@@ -68,54 +72,6 @@ _RANDOM = _TYPE_CODE[SelectionType.RANDOM]
 _RANDOM_AFTER_COIN = _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
 _GREEDY = _TYPE_CODE[SelectionType.GREEDY]
 _SWITCH_BACK = _TYPE_CODE[SelectionType.SWITCH_BACK]
-
-#: Lookup tables of block lengths (keyed by β, indexed by selection count)
-#: and of γ (keyed by the γ exponent, indexed by block index), grown lazily
-#: and shared by every kernel.  They live at module level on purpose: an
-#: instance ``ndarray`` whose length happened to equal the group size would
-#: be mistaken for row state by ``BatchKernel._row_array_attrs`` and pickled
-#: into every checkpoint.
-_LENGTH_TABLES: dict[float, np.ndarray] = {}
-_GAMMA_TABLES: dict[float, np.ndarray] = {}
-_TABLE_START = 32
-
-
-def _scalar_length(beta: float, count: int) -> int:
-    # BlockScheduler.block_length.
-    return int(math.ceil((1.0 + beta) ** count))
-
-
-def _scalar_gamma(exponent: float, block_index: int) -> float:
-    # SmartEXP3Policy._gamma without a fixed γ.
-    return min(1.0, max(block_index, 1) ** (-exponent))
-
-
-def _lookup(tables, key, entry, dtype, indices: np.ndarray) -> np.ndarray:
-    table = tables.get(key)
-    if table is not None:
-        try:
-            return table[indices]
-        except IndexError:  # an index past the table: grow it below
-            pass
-    size = max(
-        int(indices.max()) + 1 if indices.size else 0,
-        _TABLE_START,
-        0 if table is None else 2 * table.size,
-    )
-    table = np.asarray([entry(key, x) for x in range(size)], dtype=dtype)
-    tables[key] = table
-    return table[indices]
-
-
-def block_lengths(beta: float, counts: np.ndarray) -> np.ndarray:
-    """``ceil((1 + beta) ** count)`` per entry of ``counts``."""
-    return _lookup(_LENGTH_TABLES, beta, _scalar_length, np.int64, counts)
-
-
-def gamma_values(exponent: float, block_indices: np.ndarray) -> np.ndarray:
-    """``min(1, max(b, 1) ** -exponent)`` per entry of ``block_indices``."""
-    return _lookup(_GAMMA_TABLES, exponent, _scalar_gamma, float, block_indices)
-
 
 class SmartEXP3Kernel(BatchKernel):
     """Array-native Smart EXP3 (and its Table-III variants, via the config)."""

@@ -8,24 +8,23 @@ fast they get there:
 
 * ``"event"`` — :class:`EventSlotExecutor`, the reference implementation on
   the discrete-event calendar.
-* ``"vectorized"`` — :class:`VectorizedSlotExecutor`, batched NumPy physics
-  with churn-native in-loop topology handling (joins/leaves/visibility
-  changes as membership edits on persistent kernel groups, driven by the
-  run's precomputed :class:`~repro.sim.backends.base.TopologyPlan`) and
-  batched policy kernels (:mod:`repro.algorithms.kernels`) for the learning
-  policies.
+* ``"vectorized"`` — :class:`VectorizedSlotExecutor`: one in-process
+  :class:`~repro.sim.sharded.engine.ShardEngine` over the whole population.
+  The engine is the one batched slot pipeline: batched policy kernels
+  (:mod:`repro.algorithms.kernels`), topology events as in-loop membership
+  edits on persistent kernel groups, equal-share or generic gain-model
+  physics, and fused multi-slot windows on eligible epochs.
 * ``"vectorized-nokernel"`` — the same backend with the kernel layer
   disabled (every learning policy on the per-device scalar path); exists so
   benchmarks can measure the kernel layer in isolation.
 * ``"vectorized-nofuse"`` — the vectorized backend with fused multi-slot
   windows disabled (kernels advance one slot at a time); the per-slot
   baseline the compiled-kernel benchmark suite measures against.
-* ``"sharded"`` — :class:`~repro.sim.sharded.ShardedSlotExecutor`, the
-  device-axis sharded engine (:mod:`repro.sim.sharded`): K shards running
-  the kernel/churn machinery locally, synchronised once per slot by an
-  all-reduce of per-network occupancy.  The registry default is the
-  2-shard in-process configuration; ``run_many(shards=..., workers=...)``
-  configures real fan-out.
+* ``"sharded"`` — :class:`~repro.sim.sharded.ShardedSlotExecutor`: the same
+  engine on K device shards, synchronised once per slot by an all-reduce of
+  per-network occupancy (:mod:`repro.sim.sharded`).  The registry default is
+  the 2-shard in-process configuration; ``run_many(shards=...,
+  workers=...)`` configures real fan-out.
 
 Third-party backends can be added with :func:`register_backend`; the runner
 resolves names through :func:`get_backend`.

@@ -17,7 +17,7 @@ here, so that any two backends produce bit-for-bit equal
   join/leave presence epochs, per-era ``(devices × networks)`` visibility
   matrices, and for every slot the exact joins, departures and
   visible-set changes a backend must apply before selection.  The
-  vectorized backend consumes the plan *in-loop* — topology changes are
+  batched slot engine consumes the plan *in-loop* — topology changes are
   membership edits on persistent kernel groups, not segment breaks — so
   high-churn scenarios stay on the batched path.
 * :func:`execute_reference_slot` — the reference per-slot semantics
@@ -515,9 +515,8 @@ def execute_reference_slot(state: RunState, slot: int) -> None:
 
     This is the per-slot loop the original runner executed inline: policy
     selection in device order, environment physics, then feedback and
-    recording in device order.  The vectorized backend reuses it verbatim at
-    topology-change slots so both backends share one source of truth for the
-    slot semantics.
+    recording in device order.  The event backend runs it for every slot;
+    it is the behavioural oracle the batched engine is tested against.
     """
     scenario = state.scenario
     environment = state.environment

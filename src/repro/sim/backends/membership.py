@@ -1,20 +1,16 @@
-"""Shared device-membership machinery for the batched executors.
+"""Device-membership bookkeeping of the batched slot engine.
 
-The vectorized backend and every shard of the sharded engine manage the
-same per-run bookkeeping: a static execution class per device row (frozen /
-batched kernel / scalar fallback), persistent kernel groups edited in place
-as topology events fire, and the frozen rows' cached choices and mixed
-strategies.  :class:`MembershipState` owns that state and the one subtle
-piece of logic both executors must share verbatim — the ordering of a
-topology event's edits (departing/re-covered rows are scattered back to
-their scalar policies *before* any ``update_available_networks`` call
-touches those policies, joining rows are gathered afterwards) — so the two
-executors cannot drift apart.
+:class:`MembershipState` holds a static execution class per device row
+(frozen / batched kernel / scalar fallback), the persistent kernel groups
+edited in place as topology events fire, and the frozen rows' cached
+choices and mixed strategies.  It also owns the ordering of a topology
+event's edits: departing/re-covered rows are scattered back to their scalar
+policies *before* any ``update_available_networks`` call touches those
+policies, and joining rows are gathered afterwards.
 
 :func:`equal_share_feedback` is the matching physics helper: the global
 per-network-column counterfactual gain arrays of the closed-form
-equal-share model, consumed by the Full Information kernels on both
-executors' fast paths.
+equal-share model, consumed by the Full Information kernels.
 """
 
 from __future__ import annotations

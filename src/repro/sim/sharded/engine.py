@@ -1,38 +1,32 @@
-"""The per-shard lockstep execution engine.
+"""The batched slot engine: one block of devices advanced slot by slot.
 
-A :class:`ShardEngine` owns one shard of the device population and advances
-it slot by slot through a three-phase protocol driven by the executor (or a
-worker process):
+A :class:`ShardEngine` holds one shard of a sharded run, or the whole
+population of a vectorized run, and advances it through a protocol driven
+from outside:
 
-1. :meth:`begin` — apply the slot's topology events, run policy selection
-   (batched kernels / scalar fallback / frozen rows, exactly the vectorized
-   backend's machinery) and return the shard's *local* per-network occupancy
-   counts.
+1. :meth:`begin` — apply the slot's topology events, run selection (batched
+   kernels, scalar fallback rows, frozen rows) and return the *local*
+   per-network occupancy counts.
 2. *(all-reduce outside the engine: local counts sum to global counts)*
-3. :meth:`observe` — consume the **global** counts: equal-share rates and
-   recording for the shard's active rows, switch detection; returns the
-   shard's switching rows so the caller can resolve switching delays (drawn
-   locally for stream-free delay models, or via the replicated
-   global-order draw for stochastic ones — see
-   :mod:`repro.sim.sharded.executor`).
+3. :meth:`observe` — consume the **global** counts: realised rates,
+   recording and switch detection; returns the switching rows so the caller
+   can resolve their delays.
 4. :meth:`complete` — charge the delays, feed realised gains back into the
-   kernels / scalar policies, record probabilities.
+   kernels and scalar policies, record probabilities.
 
-The congestion game makes this exchange sufficient: per-device equal-share
-rates (and the Full Information counterfactuals) depend on the choices of
-other devices only through the ``(networks,)``-sized occupancy vector, so a
-shard never needs to see a peer shard's per-device state.
+Equal-share rates and the Full Information counterfactuals depend on other
+devices only through the ``(networks,)``-sized occupancy vector, so a shard
+never needs a peer's per-device state.  Any other gain model draws from the
+environment RNG over the *global* association grouping; only a
+whole-population engine (:meth:`ShardEngine.from_run`) takes that path.
+:meth:`advance_epoch` fuses a membership-stable epoch of a whole-population
+engine into :meth:`BatchKernel.advance_window` calls.
 
-Bit-exactness with the vectorized backend holds because every RNG stream is
-consumed identically: per-device policy streams come from the same globally
+Bit-exactness with the event backend holds because every RNG stream is
+consumed identically: per-device policy streams come from the globally
 derived seeds (:func:`~repro.sim.backends.base.derive_run_streams`), kernels
-replicate the scalar draws row for row, and the environment stream is either
-untouched (stream-free delay models, equal-share physics draws nothing) or
-replayed in the same global ascending-device order on every shard's replica.
-Unlike the vectorized executor there are no multi-slot epoch fast paths —
-lockstep synchronisation is per slot by construction — so the engine is the
-per-slot counterpart of :class:`~repro.sim.backends.vectorized.VectorizedSlotExecutor`
-(see that module for the semantics the membership-edit code mirrors).
+replicate the scalar draws row for row, and the environment stream is drawn
+by the gain model first, then per switching device in ascending device order.
 """
 
 from __future__ import annotations
@@ -43,10 +37,23 @@ import numpy as np
 
 import repro.algorithms.kernels  # noqa: F401  (registers the built-in kernels)
 from repro.algorithms.base import Observation
-from repro.algorithms.kernels.base import SlotFeedback
-from repro.sim.backends.base import SlotRecorder, TopologyPlan, build_policies
-from repro.sim.backends.membership import FROZEN as _FROZEN, MembershipState
+from repro.algorithms.kernels.base import SlotFeedback, WindowPlan
+from repro.game.gain import EqualShareModel
+from repro.sim.backends.base import (
+    DeviceRuntime,
+    RunState,
+    SlotRecorder,
+    TopologyPlan,
+    build_policies,
+)
+from repro.sim.backends.membership import (
+    FROZEN as _FROZEN,
+    MembershipState,
+    equal_share_feedback,
+)
+from repro.sim.environment import WirelessEnvironment
 from repro.sim.metrics import NO_NETWORK, SimulationResult
+from repro.sim.scenario import Scenario
 from repro.sim.sharded.plan import ShardSpec
 
 
@@ -97,6 +104,18 @@ def _iter_rng_states(packed: tuple):
         }
 
 
+#: Per-layout caches rebuilt from the membership state (never pickled: they
+#: reference kernels and policies the columnar snapshot stores separately).
+_LAYOUT_CACHE = (
+    "_kernels",
+    "_fallback_list",
+    "_frozen_rows",
+    "_frozen_values",
+    "_act_ids",
+    "_feedback",
+)
+
+
 class _RecorderStub:
     """Placeholder for a freshly-reset recorder inside a checkpoint pickle.
 
@@ -123,36 +142,47 @@ class _RecorderStub:
 
 
 class ShardEngine:
-    """One shard's devices, policies, topology and recorder."""
+    """One block of devices: policies, topology, recorder and slot state.
+
+    The constructor takes the prepared pieces of a run; :meth:`from_spec`
+    builds them for one shard of a :class:`~repro.sim.sharded.plan.ShardPlan`
+    and :meth:`from_run` wraps a whole-population
+    :class:`~repro.sim.backends.base.RunState`.
+    """
 
     def __init__(
         self,
-        spec: ShardSpec,
-        policy_seeds: np.ndarray,
+        scenario: Scenario,
+        runtimes: dict[int, DeviceRuntime],
+        recorder: SlotRecorder,
+        topology: TopologyPlan,
         seed_label: int,
-        num_slots: int,
-        record_probabilities: bool = True,
-        dtype: str = "float64",
-        window: int | None = None,
+        *,
+        spec: ShardSpec | None = None,
+        policy_seeds: np.ndarray | None = None,
+        environment: WirelessEnvironment | None = None,
+        use_kernels: bool = True,
     ) -> None:
-        scenario = spec.materialize()
         self.spec = spec
         self.scenario = scenario
         self.seed_label = seed_label
-        self.num_slots = num_slots
-        #: Offset of this shard's row 0 in the global row order.
-        self.row_offset = spec.lo
+        self.num_slots = topology.num_slots
+        #: Offset of this engine's row 0 in the global row order.
+        self.row_offset = 0 if spec is None else spec.lo
         #: Kept for the columnar checkpoint codec: restoring a snapshot
         #: rebuilds the scalar policy objects of kernel-resident rows from
         #: these seeds instead of pickling 10^5 tiny Python objects.
-        self._policy_seeds = np.asarray(policy_seeds)
-        self.runtimes = build_policies(scenario, policy_seeds, spec.policy_ranks)
-        self.device_ids = tuple(sorted(self.runtimes))
-        self.runtimes_by_row = [self.runtimes[d] for d in self.device_ids]
+        self._policy_seeds = policy_seeds
+        #: The run's environment when the gain model is not equal share
+        #: (generic physics, whole population only); ``None`` otherwise.
+        self.physics_env = environment
+        self.runtimes = runtimes
+        self.device_ids = recorder.device_ids
+        self.runtimes_by_row = [runtimes[d] for d in self.device_ids]
         self.policies_by_row = [rt.policy for rt in self.runtimes_by_row]
         num_devices = len(self.device_ids)
 
-        self.network_order = tuple(sorted(scenario.network_map))
+        self.network_order = recorder.network_order
         self.num_networks = len(self.network_order)
         self.net_ids = np.asarray(self.network_order, dtype=np.int64)
         self.bandwidths = np.asarray(
@@ -160,55 +190,98 @@ class ShardEngine:
             dtype=float,
         )
         self.scale_ref = float(scenario.scale_reference_mbps)
-
-        self.window = min(int(window), num_slots) if window else None
-        width = self.window or num_slots
-        self.recorder = SlotRecorder(
-            self.device_ids,
-            self.network_order,
-            width,
-            record_probabilities,
-            dtype,
-        )
-        if window and self.recorder.probabilities is not None:
-            raise ValueError(
-                "windowed execution requires record_probabilities=False"
-            )
+        self.recorder = recorder
+        self.network_col = recorder.network_col
         #: 0-based slot index of the recorder's column 0.
         self.col_base = 0
+        self.topology = topology
 
-        self.topology = TopologyPlan(
-            scenario,
-            [self.runtimes[d].spec.device for d in self.device_ids],
-            num_slots,
+        # ---- persistent run state (the membership layer owns the execution
+        # classes, kernel groups and frozen bookkeeping, and applies topology
+        # events in place)
+        self.membership = MembershipState(
+            self.runtimes_by_row, recorder, use_kernels
         )
-        self.network_col = self.recorder.network_col
-
-        # ---- persistent run state (the membership layer shared with the
-        # vectorized backend owns the execution classes, kernel groups and
-        # frozen bookkeeping, and applies topology events in place)
-        self.membership = MembershipState(self.runtimes_by_row, self.recorder)
         self.needs_feedback = any(
             p.needs_full_feedback for p in self.policies_by_row
         )
         self.choice_col = np.zeros(num_devices, dtype=np.intp)
         self.prev_col = np.full(num_devices, -1, dtype=np.intp)
+        #: Last slot whose topology events were applied.
+        self._events_slot = 0
+        #: Whether the active-row layout (``_refresh_layout``) is stale.
         self._layout_dirty = True
-        self._kernel_pos: dict[int, np.ndarray | None] = {}
-        self._fallback_list: list = []
-        self._act_rows = np.empty(0, dtype=np.intp)
-        self._act_cols = np.empty(0, dtype=np.intp)
-        self._rates_act = np.empty(0, dtype=float)
-        self._switch_rows = np.empty(0, dtype=np.intp)
         #: Checkpoint cadence in slots (set by the executor when durability
         #: is on): kernel draw windows truncate here so a snapshot never has
         #: to carry a partially consumed uniform buffer.
         self.draw_barrier_every: int | None = None
-        self._event_slot_list = sorted(self.topology.events)
+        self._event_slot_list = sorted(topology.events)
         #: Why draw windows ended (reason -> count), for telemetry's
         #: ``fused_windows`` events.  Always-on: one dict update per window
         #: (not per slot) is noise next to the window's array work.
         self.window_truncations: dict[str, int] = {}
+
+    @classmethod
+    def from_spec(
+        cls,
+        spec: ShardSpec,
+        policy_seeds: np.ndarray,
+        seed_label: int,
+        num_slots: int,
+        record_probabilities: bool = True,
+        dtype: str = "float64",
+        window: int | None = None,
+    ) -> "ShardEngine":
+        """One shard of a sharded run, built from its :class:`ShardSpec`.
+
+        ``window`` bounds the recorder to that many slot columns (the
+        streaming reduced path, which requires ``record_probabilities=False``).
+        """
+        scenario = spec.materialize()
+        runtimes = build_policies(scenario, policy_seeds, spec.policy_ranks)
+        device_ids = tuple(sorted(runtimes))
+        window = min(int(window), num_slots) if window else None
+        if window and record_probabilities:
+            raise ValueError(
+                "windowed execution requires record_probabilities=False"
+            )
+        recorder = SlotRecorder(
+            device_ids,
+            tuple(sorted(scenario.network_map)),
+            window or num_slots,
+            record_probabilities,
+            dtype,
+        )
+        topology = TopologyPlan(
+            scenario, [runtimes[d].spec.device for d in device_ids], num_slots
+        )
+        return cls(
+            scenario,
+            runtimes,
+            recorder,
+            topology,
+            seed_label,
+            spec=spec,
+            policy_seeds=np.asarray(policy_seeds),
+        )
+
+    @classmethod
+    def from_run(cls, state: RunState, use_kernels: bool = True) -> "ShardEngine":
+        """The whole population of a prepared run, in one engine.
+
+        Gain models other than :class:`EqualShareModel` take the generic
+        physics path through the run's environment.
+        """
+        generic = type(state.scenario.gain_model) is not EqualShareModel
+        return cls(
+            state.scenario,
+            state.runtimes,
+            state.recorder,
+            state.topology,
+            state.seed,
+            environment=state.environment if generic else None,
+            use_kernels=use_kernels,
+        )
 
     # ------------------------------------------------------- checkpointing
     #
@@ -230,7 +303,7 @@ class ShardEngine:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         drop_recorder = state.pop("_snapshot_drop_recorder", False)
-        for name in ("_kernel_pos", "_fallback_list"):
+        for name in _LAYOUT_CACHE:
             state.pop(name, None)
         membership = self.membership
         if not membership.kernel_of:
@@ -282,21 +355,22 @@ class ShardEngine:
     def __setstate__(self, state: dict) -> None:
         """Restore from a checkpoint pickle.
 
-        The kernel-position cache is keyed by ``id(kernel)`` — object
-        identities do not survive serialization, so the layout is marked
-        dirty and rebuilt lazily on the first post-restore slot.  Columnar
+        The layout cache holds kernel and policy references, which the
+        snapshot does not carry, so the layout is marked stale and rebuilt on
+        the first post-restore slot.  Columnar
         snapshots additionally rebuild the scalar policy objects from their
         seeds, restore each row's RNG state and visible set, and rewire the
         kernels' row references (see ``__getstate__``).
         """
         columnar = state.pop("_columnar", None)
         self.__dict__.update(state)
-        self._kernel_pos = {}
-        self._fallback_list = []
         self._layout_dirty = True
         # Snapshots written by older engine versions predate the draw-window
-        # machinery; default it off and rebuild the event-slot index.
+        # machinery and the generic physics path; default them off and
+        # rebuild the event-slot index.
         self.__dict__.setdefault("draw_barrier_every", None)
+        self.__dict__.setdefault("physics_env", None)
+        self.__dict__.setdefault("_events_slot", 0)
         self.__dict__.setdefault(
             "_event_slot_list", sorted(self.topology.events)
         )
@@ -359,18 +433,29 @@ class ShardEngine:
         self.runtimes_by_row = runtimes_by_row
         self.policies_by_row = policies_by_row
 
+    # ------------------------------------------------------------- layout
+
     def _refresh_layout(self) -> None:
-        """Recompute active-row positions for kernels and fallback rows."""
-        act_rows = self._act_rows
-        self._kernel_pos = {}
-        for kernel in self.membership.kernels_by_key.values():
-            positions = np.searchsorted(act_rows, kernel.rows)
-            self._kernel_pos[id(kernel)] = (
+        """Recompute the active rows and each class's positions among them."""
+        membership = self.membership
+        act_rows = np.nonzero(membership.active)[0]
+        self._act_rows = act_rows
+        self._all_active = act_rows.size == len(self.device_ids)
+        if self.physics_env is not None:
+            device_ids = self.device_ids
+            self._act_ids = [device_ids[row] for row in act_rows.tolist()]
+        # Kernel rows' positions among the active rows; ``None`` when one
+        # kernel covers every active row in order (the static common case),
+        # so its gains are handed over as is.
+        self._kernels = [
+            (
+                kernel,
                 None
-                if positions.size == act_rows.size
-                and np.array_equal(positions, np.arange(positions.size))
-                else positions
+                if np.array_equal(kernel.rows, act_rows)
+                else np.searchsorted(act_rows, kernel.rows),
             )
+            for kernel in membership.kernels_by_key.values()
+        ]
         self._fallback_list = [
             (
                 row,
@@ -378,9 +463,23 @@ class ShardEngine:
                 self.policies_by_row[row],
                 int(np.searchsorted(act_rows, row)),
             )
-            for row in sorted(self.membership.fallback_rows)
+            for row in sorted(membership.fallback_rows)
         ]
+        self._frozen_rows = act_rows[membership.category[act_rows] == _FROZEN]
+        self._frozen_values = None
         self._layout_dirty = False
+
+    def _apply_events(self, slot: int) -> None:
+        """Apply ``slot``'s topology events (once per slot), then refresh a
+        stale layout."""
+        if slot != self._events_slot:
+            self._events_slot = slot
+            events = self.topology.events.get(slot)
+            if events is not None:
+                self.membership.apply_events(events)
+                self._layout_dirty = True
+        if self._layout_dirty:
+            self._refresh_layout()
 
     # ---------------------------------------------------------- slot phases
 
@@ -417,20 +516,17 @@ class ShardEngine:
 
     def begin(self, slot: int) -> np.ndarray:
         """Phase 1: selection.  Returns local per-network occupancy counts."""
+        if self._layout_dirty or slot in self.topology.events:
+            self._apply_events(slot)
         membership = self.membership
-        events = self.topology.events.get(slot)
-        if events is not None:
-            membership.apply_events(events)
-            self._layout_dirty = True
-
         choice_col = self.choice_col
-        for kernel in membership.kernels_by_key.values():
+        for kernel, _positions in self._kernels:
             if kernel.uses_slot_draws and kernel.window_exhausted:
                 kernel.prepare_window(self._draw_span(slot, kernel))
             choice_col[kernel.rows] = kernel.begin_slot(slot)
         network_col = self.network_col
-        for row in sorted(membership.fallback_rows):
-            choice_col[row] = network_col[self.policies_by_row[row].begin_slot(slot)]
+        for row, _runtime, policy, _pos in self._fallback_list:
+            choice_col[row] = network_col[policy.begin_slot(slot)]
         if membership.frozen_dirty:
             for row in sorted(membership.frozen_dirty):
                 policy = self.policies_by_row[row]
@@ -449,10 +545,7 @@ class ShardEngine:
                     )
             membership.frozen_dirty.clear()
 
-        if events is not None or self._layout_dirty:
-            self._act_rows = np.nonzero(membership.active)[0]
-        act_rows = self._act_rows
-        self._act_cols = choice_col[act_rows]
+        self._act_cols = choice_col[self._act_rows]
         return np.bincount(self._act_cols, minlength=self.num_networks)
 
     def observe(
@@ -460,43 +553,67 @@ class ShardEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Phase 2: global counts in, rates recorded, switchers out.
 
-        ``counts`` is the all-reduced global occupancy.  Returns the shard's
+        ``counts`` is the all-reduced global occupancy.  Returns the
         switching rows (ascending, local) and the network ids they switch
         onto; the caller resolves the delays and hands them to
         :meth:`complete`.
         """
         act_rows, act_cols = self._act_rows, self._act_cols
-        col = slot - 1 - self.col_base
-        recorder = self.recorder
         if act_rows.size == 0:
             self._switch_rows = np.empty(0, dtype=np.intp)
             return self._switch_rows, np.empty(0, dtype=np.int64)
-        rates_act = (self.bandwidths / np.maximum(counts, 1))[act_cols]
+        feedback = None
+        environment = self.physics_env
+        if environment is None:
+            rates_act = (self.bandwidths / np.maximum(counts, 1))[act_cols]
+            if self.needs_feedback:
+                member_gain, join_gain = equal_share_feedback(
+                    counts, self.bandwidths, self.scale_ref
+                )
+                feedback = SlotFeedback(member_gain=member_gain, join_gain=join_gain)
+        else:
+            # Generic physics: the gain model draws from the environment RNG
+            # per network, in first-appearance order over the active devices
+            # sorted by id — the grouping the event backend builds.
+            choices = dict(zip(self._act_ids, self.net_ids[act_cols].tolist()))
+            groups = environment.client_groups(choices)
+            realised = environment.realized_rates(choices, slot, groups)
+            rates_act = np.fromiter(
+                map(realised.__getitem__, choices), dtype=float, count=len(choices)
+            )
+            if self.needs_feedback:
+                feedback = SlotFeedback(
+                    counts=environment.allocation_counts(choices, groups),
+                    environment=environment,
+                )
         self._rates_act = rates_act
-        recorder.rates[act_rows, col] = rates_act
-        recorder.choices[act_rows, col] = self.net_ids[act_cols]
-        recorder.active[act_rows, col] = True
-        prev = self.prev_col[act_rows]
-        switched = (prev != -1) & (prev != act_cols)
+        self._feedback = feedback
+        col = slot - 1 - self.col_base
+        recorder = self.recorder
+        chosen = self.net_ids[act_cols]
+        prev_col = self.prev_col
+        if self._all_active:
+            # Whole-column slice writes: the common static case.
+            recorder.rates[:, col] = rates_act
+            recorder.choices[:, col] = chosen
+            recorder.active[:, col] = True
+            switched = (prev_col != -1) & (prev_col != act_cols)
+            prev_col[:] = act_cols
+        else:
+            recorder.rates[act_rows, col] = rates_act
+            recorder.choices[act_rows, col] = chosen
+            recorder.active[act_rows, col] = True
+            prev = prev_col[act_rows]
+            switched = (prev != -1) & (prev != act_cols)
+            prev_col[act_rows] = act_cols
         self._switch_rows = act_rows[switched]
-        switch_nets = self.net_ids[act_cols[switched]]
-        self.prev_col[act_rows] = act_cols
-        return self._switch_rows, switch_nets
+        return self._switch_rows, chosen[switched]
 
-    def complete(
-        self,
-        slot: int,
-        delays: np.ndarray,
-        member_gain: np.ndarray | None = None,
-        join_gain: np.ndarray | None = None,
-    ) -> None:
+    def complete(self, slot: int, delays: np.ndarray | list[float]) -> None:
         """Phase 3: charge delays, feed gains back, record probabilities.
 
         ``delays`` aligns with the rows :meth:`observe` returned (float64 —
         policies see full precision even when the recorder stores float32).
-        ``member_gain``/``join_gain`` are the global equal-share
-        counterfactual arrays, computed once per slot by the caller when any
-        shard policy needs full feedback.
         """
         act_rows = self._act_rows
         if act_rows.size == 0:
@@ -507,15 +624,19 @@ class ShardEngine:
         if switch_rows.size:
             recorder.delays[switch_rows, col] = delays
             recorder.switches[switch_rows, col] = True
+        block = recorder.probabilities
+        if block is not None and self._frozen_rows.size:
+            # Frozen strategies change only at topology edits: one cached
+            # (frozen rows x networks) matrix, written as one block per slot.
+            values = self._frozen_values
+            if values is None:
+                values = self._frozen_values = self._frozen_matrix()
+            block[self._frozen_rows, col] = values
+        if not (self._kernels or self._fallback_list):
+            return
         gains_act = np.minimum(self._rates_act / self.scale_ref, 1.0)
-        if self._layout_dirty:
-            self._refresh_layout()
-
-        feedback = None
-        if self.needs_feedback and member_gain is not None:
-            feedback = SlotFeedback(member_gain=member_gain, join_gain=join_gain)
-        for kernel in self.membership.kernels_by_key.values():
-            positions = self._kernel_pos[id(kernel)]
+        feedback = self._feedback
+        for kernel, positions in self._kernels:
             kernel.end_slot(
                 slot,
                 col,
@@ -529,17 +650,21 @@ class ShardEngine:
             network_col = self.network_col
             for row, runtime, policy, pos in self._fallback_list:
                 network_id = int(net_ids[self.choice_col[row]])
-                switched_here = bool(recorder.switches[row, col])
                 full_feedback = None
-                if policy.needs_full_feedback and member_gain is not None:
-                    chosen_col = self.choice_col[row]
+                if feedback is not None and policy.needs_full_feedback:
                     visible = runtime.visible or frozenset()
-                    full_feedback = {
-                        k: float(member_gain[network_col[k]])
-                        if network_col[k] == chosen_col
-                        else float(join_gain[network_col[k]])
-                        for k in visible
-                    }
+                    if feedback.member_gain is None:
+                        full_feedback = feedback.environment.counterfactual_gains(
+                            feedback.counts, network_id, visible
+                        )
+                    else:
+                        chosen_col = self.choice_col[row]
+                        full_feedback = {
+                            k: float(feedback.member_gain[network_col[k]])
+                            if network_col[k] == chosen_col
+                            else float(feedback.join_gain[network_col[k]])
+                            for k in visible
+                        }
                 policy.end_slot(
                     slot,
                     Observation(
@@ -547,7 +672,7 @@ class ShardEngine:
                         network_id=network_id,
                         bit_rate_mbps=float(self._rates_act[pos]),
                         gain=float(gains_act[pos]),
-                        switched=switched_here,
+                        switched=bool(recorder.switches[row, col]),
                         delay_s=float(delay_of.get(row, 0.0)),
                         full_feedback=full_feedback,
                     ),
@@ -555,13 +680,80 @@ class ShardEngine:
                 runtime.previous_choice = network_id
                 recorder.record_probabilities(row, col, policy)
 
-        block = recorder.probabilities
-        if block is not None:
-            frozen_probs = self.membership.frozen_probs
-            category = self.membership.category
-            for row in act_rows[category[act_rows] == _FROZEN]:
-                cols, vals = frozen_probs[int(row)]
-                block[row, col, cols] = vals
+    def _frozen_matrix(self) -> np.ndarray:
+        """The frozen rows' mixed strategies over every network column."""
+        frozen_probs = self.membership.frozen_probs
+        values = np.zeros((self._frozen_rows.size, self.num_networks))
+        for index, row in enumerate(self._frozen_rows.tolist()):
+            cols, vals = frozen_probs[row]
+            values[index, cols] = vals
+        return values
+
+    def advance_epoch(
+        self,
+        start: int,
+        end: int,
+        delay_table: np.ndarray,
+        reasons: dict[str, int] | None = None,
+    ) -> bool:
+        """Advance slots ``[start, end)`` as fused windows, if eligible.
+
+        Applies ``start``'s topology events.  When one kernel covers every
+        active row in order, on equal-share physics without full-feedback
+        consumers, and the epoch spans two or more slots, the kernel advances
+        it through :meth:`BatchKernel.advance_window` in windows capped by
+        the draw-buffer budget, with ``delay_table`` delays; ``reasons``
+        counts why each window ended.  Otherwise returns ``False`` and the
+        caller runs the per-slot protocol.
+        """
+        self._apply_events(start)
+        if (
+            self.physics_env is not None
+            or end - start < 2
+            or len(self._kernels) != 1
+            or self._kernels[0][1] is not None
+            or self._kernels[0][0].needs_full_feedback
+        ):
+            return False
+        kernel = self._kernels[0][0]
+        rows = kernel.rows
+        recorder = self.recorder
+        col_lo = start - 1 - self.col_base
+        recorder.active[rows, col_lo : col_lo + end - start] = True
+        window_cap = max(2, kernel.DRAW_BUDGET // max(kernel.size, 1))
+        prev = self.prev_col[rows]
+        slot = start
+        while slot < end:
+            width = min(end - slot, window_cap)
+            kernel.prepare_window(width)
+            kernel.advance_window(
+                WindowPlan(
+                    start_slot=slot,
+                    n_slots=width,
+                    idx_lo=slot - 1 - self.col_base,
+                    net_ids=self.net_ids,
+                    bandwidths=self.bandwidths,
+                    num_networks=self.num_networks,
+                    scale_ref=self.scale_ref,
+                    delay_table=delay_table,
+                    prev=prev,
+                    choices2d=recorder.choices,
+                    rates2d=recorder.rates,
+                    delays2d=recorder.delays,
+                    switches2d=recorder.switches,
+                )
+            )
+            if reasons is not None:
+                if width < end - slot:
+                    reason = "draw_budget"
+                elif end > self.num_slots:
+                    reason = "horizon"
+                else:
+                    reason = "topology_event"
+                reasons[reason] = reasons.get(reason, 0) + 1
+            slot += width
+        self.prev_col[rows] = prev
+        return True
 
     # --------------------------------------------------------- run assembly
 

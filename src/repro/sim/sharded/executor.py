@@ -39,11 +39,11 @@ diagnostics when retries are exhausted.  A
 checkpoint corruption so tests and the ``--suite faults`` benchmark prove
 recovery works rather than assume it.
 
-Physics support: the closed-form equal-share gain model — exactly the class
-the vectorized backend's fast path covers.  Other gain models consume the
-environment RNG per network over the *global* association grouping, which a
-device-partitioned execution cannot replay without shipping every choice;
-such scenarios fall back to the vectorized backend (or raise with
+Physics support: the closed-form equal-share gain model.  Other gain models
+consume the environment RNG per network over the *global* association
+grouping, which a device-partitioned execution cannot replay without
+shipping every choice; such scenarios fall back to the vectorized backend,
+which runs the same engine over the whole population (or raise with
 ``strict=True``).  Delay models need no such restriction: stream-free models
 (:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``) sample
 shard-locally, and stochastic ones replay the global ascending-device-order
@@ -64,7 +64,6 @@ import numpy as np
 from repro.game.gain import EqualShareModel
 from repro.profiling import profile_run
 from repro.sim.backends.base import SlotExecutor, derive_run_streams
-from repro.sim.backends.membership import equal_share_feedback
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
@@ -184,7 +183,7 @@ def _build_group(
         delay_env = load_environment(resume)
         return engines, states, delay_env, resume.slot + 1, resume.window_start
     engines = [
-        ShardEngine(
+        ShardEngine.from_spec(
             spec,
             seeds,
             params.seed_label,
@@ -225,9 +224,6 @@ def _run_group(
         from repro.analysis.reducers import ShardWindow  # lazy: import cycle
 
     num_slots = params.num_slots
-    needs_feedback = any(engine.needs_feedback for engine in engines)
-    bandwidths = engines[0].bandwidths
-    scale_ref = engines[0].scale_ref
     net_order = engines[0].net_ids
     delay_table = None
     if not params.coupled:
@@ -343,19 +339,10 @@ def _run_group(
         if prof is not None:
             t = prof.add("delays", t)
 
-        member_gain = join_gain = None
-        if needs_feedback:
-            member_gain, join_gain = equal_share_feedback(
-                counts, bandwidths, scale_ref
-            )
-
         position = 0
         for engine, switcher_count in zip(engines, per_engine_switchers):
             engine.complete(
-                slot,
-                group_delays[position : position + switcher_count],
-                member_gain,
-                join_gain,
+                slot, group_delays[position : position + switcher_count]
             )
             position += switcher_count
         if prof is not None:

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.algorithms.base import Observation, PolicyContext
 from repro.game.network import Network, NetworkType, make_networks
 from repro.sim.scenario import setting1_scenario, setting2_scenario
+
+#: Hypothesis profile for a deep run of the differential property
+#: (``tests/test_differential.py``), loaded with
+#: ``--hypothesis-profile=differential-deep``.
+DIFFERENTIAL_DEEP_PROFILE = "differential-deep"
+settings.register_profile(DIFFERENTIAL_DEEP_PROFILE, max_examples=1000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -185,7 +185,7 @@ class TestReplicationPrimitives:
 
     @pytest.mark.parametrize("beta", (0.1, 0.37))
     def test_block_length_table_matches_scheduler(self, beta):
-        from repro.algorithms.kernels import smart_exp3 as smart_kernel
+        from repro.algorithms.kernels import base as smart_kernel
         from repro.core.blocking import BlockScheduler
 
         smart_kernel._LENGTH_TABLES.pop(beta, None)
@@ -206,7 +206,7 @@ class TestReplicationPrimitives:
 
     @pytest.mark.parametrize("exponent", (1.0 / 3.0, 0.5, 2.0))
     def test_gamma_table_matches_policy(self, exponent):
-        from repro.algorithms.kernels import smart_exp3 as smart_kernel
+        from repro.algorithms.kernels import base as smart_kernel
         from repro.core.config import SmartEXP3Config
         from repro.core.smart_exp3 import SmartEXP3Policy
         from tests.conftest import make_context
@@ -216,8 +216,15 @@ class TestReplicationPrimitives:
             make_context(), SmartEXP3Config(gamma_exponent=exponent)
         )
         first = smart_kernel._TABLE_START
-        indices = np.arange(5 * first)
+        # 0..300 crosses the table's doublings at 32/64/128/256.
+        indices = np.arange(301)
         expected = [policy._gamma(int(b)) for b in indices]
+        if exponent == 1.0 / 3.0:
+            # EXP3Kernel gathers its decaying γ(round) from the same table.
+            exp3 = EXP3Policy(make_context())
+            for rounds in indices.tolist():
+                exp3._round = rounds
+                assert exp3._gamma() == expected[rounds]
         got = smart_kernel.gamma_values(exponent, indices[: first // 2])
         assert got.tolist() == expected[: first // 2]
         assert smart_kernel._GAMMA_TABLES[exponent].size == first
