@@ -212,17 +212,8 @@ def main(argv=None) -> int:
         "events under DIR (REPRO_TELEMETRY_DIR); inspect with "
         "python -m repro.telemetry tail|summary|report",
     )
-    parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="opt into the numba-compiled slot kernels (REPRO_COMPILED=1); "
-        "falls back to the interpreted path with a warning when numba is "
-        "not installed",
-    )
     parser.add_argument("--json", default=None, help="write the payload here")
     args = parser.parse_args(argv)
-    if args.compiled:
-        os.environ["REPRO_COMPILED"] = "1"
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s %(message)s"

@@ -1,11 +1,13 @@
 """Lightweight per-phase run profiling (``REPRO_PROFILE=1``).
 
-Both batched executors accumulate wall time into named phases — sampling /
-physics / reward / recorder / delays / fused windows, plus bus-exchange and
-checkpointing on the sharded path — and emit one JSON object per run when
-the environment opts in:
+The batched backends' one slot driver (``repro.sim.sharded.executor``)
+accumulates wall time into named phases — sampling / bus exchange /
+physics / delays / reward, plus fused windows on the vectorized backend and
+recorder windows and checkpointing on the sharded one — and emits one JSON
+object per run (per worker, for the sharded backend) when the environment
+opts in:
 
-* ``REPRO_PROFILE=1`` enables the hook (default off: the executors carry a
+* ``REPRO_PROFILE=1`` enables the hook (default off: the driver carries a
   single ``is None`` check per phase, nothing else);
 * ``REPRO_PROFILE_PATH=<file>`` appends one JSON line per run there instead
   of printing to stderr (append mode, so multi-run experiments and sharded
@@ -173,7 +175,7 @@ def profile_run(tag: str) -> PhaseProfile | None:
     Live when either ``REPRO_PROFILE`` (stderr/file JSON lines) or
     ``REPRO_TELEMETRY_DIR`` (``phase_profile`` events) is set — the
     telemetry layer re-bases on these spans rather than duplicating the
-    executors' timing brackets.
+    slot driver's timing brackets.
     """
     if profiling_enabled() or telemetry_enabled():
         return PhaseProfile(tag)

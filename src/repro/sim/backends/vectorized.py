@@ -2,33 +2,31 @@
 
 The run goes to one :class:`~repro.sim.sharded.engine.ShardEngine` holding
 every device — the batched slot pipeline each shard of the sharded backend
-also runs.  Per slot the driver calls :meth:`ShardEngine.begin` (topology
-edits, batched-kernel / scalar / frozen selection), :meth:`ShardEngine.observe`
-(equal-share or generic physics, recording), resolves the switching delays
-(a per-network table for stream-free delay models, the environment stream
-in ascending device order otherwise) and calls :meth:`ShardEngine.complete`
-(gain feedback).  Membership-stable epochs that one kernel covers advance as
-fused windows (:meth:`ShardEngine.advance_epoch`) unless
-``fuse_windows=False``.  Bit-exactness with the event backend follows from
-the engine's RNG-stream contract (see :mod:`repro.sim.sharded.engine`).
+also runs — and the sharded executor's lockstep driver
+(:func:`repro.sim.sharded.executor._run_group`) advances it on the serial
+bus, with the run's own environment serving both the generic physics and
+the switching delays.  The driver owns the slot loop, the delay resolution,
+the fused-window epochs (unless ``fuse_windows=False``) and the phase
+profile, tagged with this backend's registry key.  Bit-exactness with the
+event backend follows from the engine's RNG-stream contract (see
+:mod:`repro.sim.sharded.engine`).
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from repro.profiling import profile_run
 from repro.sim.backends.base import SlotExecutor, prepare_run
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
+from repro.sim.sharded.bus import SerialBus
 from repro.sim.sharded.engine import ShardEngine
+from repro.sim.sharded.executor import RunParams, _run_group
 from repro.telemetry import get_telemetry
 
 
 class VectorizedSlotExecutor(SlotExecutor):
-    """One whole-population :class:`ShardEngine`, driven slot by slot."""
+    """One whole-population :class:`ShardEngine` on the lockstep driver."""
 
     name = "vectorized"
 
@@ -59,93 +57,42 @@ class VectorizedSlotExecutor(SlotExecutor):
     ) -> SimulationResult:
         state = prepare_run(scenario, seed, record_probabilities)
         engine = ShardEngine.from_run(state, self.use_kernels)
-        environment = state.environment
-        num_slots = state.num_slots
         num_devices = len(state.device_ids)
-        prof = profile_run(self.name)
         tele = get_telemetry()
-        window_reasons: dict[str, int] | None = None
-        run_started = 0.0
         if tele is not None:
-            window_reasons = {}
             run_started = time.perf_counter()
             tele.event(
                 "run_start",
                 tag=self.name,
                 devices=num_devices,
-                slots=num_slots,
+                slots=state.num_slots,
                 scenario=getattr(scenario, "name", None),
             )
-
-        # Stream-free delay models (NoDelay, Constant) draw nothing from the
-        # environment RNG, so a per-network table replaces the per-switcher
-        # sampling calls bit-exactly.
-        delay_table = None
-        if getattr(scenario.delay_model, "stream_free", False):
-            delay_table = np.asarray(
-                [environment.switching_delay(int(n)) for n in engine.net_ids],
-                dtype=float,
-            )
-        fuse = self.fuse_windows and delay_table is not None
-
-        # Epochs run between topology events; slots before the first event
-        # have no device present.
-        boundaries = [*state.topology.event_slots, num_slots + 1]
-        for start, end in zip(boundaries, boundaries[1:]):
-            if fuse:
-                t0 = prof.now() if prof is not None else 0.0
-                if engine.advance_epoch(start, end, delay_table, window_reasons):
-                    if prof is not None:
-                        prof.add("fused_window", t0)
-                    continue
-            for slot in range(start, end):
-                if prof is not None:
-                    t = prof.now()
-                counts = engine.begin(slot)
-                if prof is not None:
-                    t = prof.add("sampling", t)
-                rows, nets = engine.observe(slot, counts)
-                if prof is not None:
-                    t = prof.add("physics", t)
-                if not rows.size:
-                    delays = ()
-                elif delay_table is not None:
-                    delays = delay_table[np.searchsorted(engine.net_ids, nets)]
-                else:
-                    delays = environment.switching_delays(nets.tolist())
-                if prof is not None:
-                    t = prof.add("delays", t)
-                engine.complete(slot, delays)
-                if prof is not None:
-                    prof.add("reward", t)
-
-        # Scatter every surviving kernel group back into the scalar policies
-        # so the result assembly (reset counts) sees the scalar-path state.
-        engine.flush_policies()
-
-        if prof is not None:
-            prof.devices = num_devices
-            prof.slots = num_slots
-            # state.seed is the resolved integer label (``seed`` itself may
-            # be a RunSeed/SeedSequence, which is not JSON-serialisable).
-            prof.emit(scenario=getattr(scenario, "name", None), seed=state.seed)
+        # The driver assembles the engine's result, which is state.finish().
+        (result,) = _run_group(
+            [engine],
+            SerialBus(),
+            state.environment,
+            RunParams(
+                num_slots=state.num_slots,
+                # The resolved integer label (``seed`` itself may be a
+                # RunSeed/SeedSequence, which is not JSON-serialisable).
+                seed_label=state.seed,
+                coupled=not getattr(scenario.delay_model, "stream_free", False),
+            ),
+            tag=self.name,
+            fuse_windows=self.fuse_windows,
+        )
         if tele is not None:
-            if window_reasons:
-                tele.event(
-                    "fused_windows",
-                    tag=self.name,
-                    windows=sum(window_reasons.values()),
-                    reasons=window_reasons,
-                )
             seconds = time.perf_counter() - run_started
             tele.event(
                 "run_end",
                 tag=self.name,
                 seconds=round(seconds, 6),
                 device_slots_per_second=(
-                    round(num_devices * num_slots / seconds, 1)
+                    round(num_devices * state.num_slots / seconds, 1)
                     if seconds > 0
                     else None
                 ),
             )
-        return state.finish()
+        return result

@@ -544,40 +544,27 @@ def _run_many_impl(
             merged = reducer.merge(merged, payload)
         return reducer.finalize(merged)
 
-    if reducer is None:
-        results = []
-        for index in indices:
-            run_executor = _durable_executor(
-                executor, checkpoint, resume_from, runs, index
-            )
-            results.append(
-                run_executor.execute(
-                    scenario,
-                    _spawned_run_seed(base_seed, index),
-                    record_probabilities=record_probabilities,
-                )
-            )
-            if progress is not None:
-                progress(index + 1, runs)
-        return results
-    # Serial streaming: each run is reduced before the next one is executed,
-    # so only one full record is alive at any time.
+    # Serial: each run's payload goes through the same failure wrapping as
+    # the pool paths; a reducer streams, so only one full record is alive
+    # at any time.
+    results = []
     merged = None
     for index in indices:
-        run_executor = _durable_executor(
-            executor, checkpoint, resume_from, runs, index
-        )
-        payload = _map_payload(
-            run_executor,
+        payload = _cell_payload(
+            _durable_executor(executor, checkpoint, resume_from, runs, index),
             scenario,
-            _spawned_run_seed(base_seed, index),
+            index,
+            base_seed,
             reducer,
             record_probabilities,
         )
-        merged = payload if merged is None else reducer.merge(merged, payload)
+        if reducer is None:
+            results.append(payload)
+        else:
+            merged = payload if merged is None else reducer.merge(merged, payload)
         if progress is not None:
             progress(index + 1, runs)
-    return reducer.finalize(merged)
+    return results if reducer is None else reducer.finalize(merged)
 
 
 def run_many(

@@ -20,7 +20,8 @@ never needs a peer's per-device state.  Any other gain model draws from the
 environment RNG over the *global* association grouping; only a
 whole-population engine (:meth:`ShardEngine.from_run`) takes that path.
 :meth:`advance_epoch` fuses a membership-stable epoch of a whole-population
-engine into :meth:`BatchKernel.advance_window` calls.
+engine into :meth:`BatchKernel.advance_window` calls.  One driver runs the
+protocol for both backends: :func:`repro.sim.sharded.executor._run_group`.
 
 Bit-exactness with the event backend holds because every RNG stream is
 consumed identically: per-device policy streams come from the globally
@@ -167,8 +168,6 @@ class ShardEngine:
         self.scenario = scenario
         self.seed_label = seed_label
         self.num_slots = topology.num_slots
-        #: Offset of this engine's row 0 in the global row order.
-        self.row_offset = 0 if spec is None else spec.lo
         #: Kept for the columnar checkpoint codec: restoring a snapshot
         #: rebuilds the scalar policy objects of kernel-resident rows from
         #: these seeds instead of pickling 10^5 tiny Python objects.
@@ -216,9 +215,9 @@ class ShardEngine:
         #: to carry a partially consumed uniform buffer.
         self.draw_barrier_every: int | None = None
         self._event_slot_list = sorted(topology.events)
-        #: Why draw windows ended (reason -> count), for telemetry's
-        #: ``fused_windows`` events.  Always-on: one dict update per window
-        #: (not per slot) is noise next to the window's array work.
+        #: Why draw and fused windows ended (reason -> count), for
+        #: telemetry's ``fused_windows`` events.  Always-on: one dict update
+        #: per window (not per slot) is noise next to the window's array work.
         self.window_truncations: dict[str, int] = {}
 
     @classmethod
@@ -303,6 +302,9 @@ class ShardEngine:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         drop_recorder = state.pop("_snapshot_drop_recorder", False)
+        # Window counts describe the invocation that ran the slots: a
+        # resumed run reports only its own windows.
+        state.pop("window_truncations", None)
         for name in _LAYOUT_CACHE:
             state.pop(name, None)
         membership = self.membership
@@ -367,7 +369,7 @@ class ShardEngine:
         self._layout_dirty = True
         # Snapshots written by older engine versions predate the draw-window
         # machinery and the generic physics path; default them off and
-        # rebuild the event-slot index.
+        # rebuild the event-slot index.  Window counts start afresh.
         self.__dict__.setdefault("draw_barrier_every", None)
         self.__dict__.setdefault("physics_env", None)
         self.__dict__.setdefault("_events_slot", 0)
@@ -690,11 +692,7 @@ class ShardEngine:
         return values
 
     def advance_epoch(
-        self,
-        start: int,
-        end: int,
-        delay_table: np.ndarray,
-        reasons: dict[str, int] | None = None,
+        self, start: int, end: int, delay_table: np.ndarray
     ) -> bool:
         """Advance slots ``[start, end)`` as fused windows, if eligible.
 
@@ -702,9 +700,9 @@ class ShardEngine:
         active row in order, on equal-share physics without full-feedback
         consumers, and the epoch spans two or more slots, the kernel advances
         it through :meth:`BatchKernel.advance_window` in windows capped by
-        the draw-buffer budget, with ``delay_table`` delays; ``reasons``
-        counts why each window ended.  Otherwise returns ``False`` and the
-        caller runs the per-slot protocol.
+        the draw-buffer budget, with ``delay_table`` delays; why each window
+        ended is counted in :attr:`window_truncations`.  Otherwise returns
+        ``False`` and the caller runs the per-slot protocol.
         """
         self._apply_events(start)
         if (
@@ -743,14 +741,14 @@ class ShardEngine:
                     switches2d=recorder.switches,
                 )
             )
-            if reasons is not None:
-                if width < end - slot:
-                    reason = "draw_budget"
-                elif end > self.num_slots:
-                    reason = "horizon"
-                else:
-                    reason = "topology_event"
-                reasons[reason] = reasons.get(reason, 0) + 1
+            if width < end - slot:
+                reason = "draw_budget"
+            elif end > self.num_slots:
+                reason = "horizon"
+            else:
+                reason = "topology_event"
+            truncations = self.window_truncations
+            truncations[reason] = truncations.get(reason, 0) + 1
             slot += width
         self.prev_col[rows] = prev
         return True

@@ -39,16 +39,21 @@ diagnostics when retries are exhausted.  A
 checkpoint corruption so tests and the ``--suite faults`` benchmark prove
 recovery works rather than assume it.
 
+The lockstep driver :func:`_run_group` is the only slot loop of the batched
+backends: the vectorized backend hands it one whole-population engine on
+the serial bus, where it also advances membership-stable epochs as fused
+windows (:meth:`~repro.sim.sharded.engine.ShardEngine.advance_epoch`).
+
 Physics support: the closed-form equal-share gain model.  Other gain models
 consume the environment RNG per network over the *global* association
 grouping, which a device-partitioned execution cannot replay without
 shipping every choice; such scenarios fall back to the vectorized backend,
-which runs the same engine over the whole population (or raise with
-``strict=True``).  Delay models need no such restriction: stream-free models
-(:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``) sample
-shard-locally, and stochastic ones replay the global ascending-device-order
-draw on every worker's environment-RNG replica via the per-slot switcher
-exchange.
+whose one engine over the whole population takes the generic physics path
+(or raise with ``strict=True``).  Delay models need no such restriction:
+stream-free models (:class:`~repro.sim.delay.NoDelayModel` /
+``ConstantDelayModel``) sample shard-locally, and stochastic ones replay the
+global ascending-device-order draw on every worker's environment-RNG
+replica via the per-slot switcher exchange.
 """
 
 from __future__ import annotations
@@ -110,25 +115,31 @@ RECOVERABLE_FAILURES = (InjectedFault, BusTimeoutError, WorkerCrashError)
 
 @dataclass(frozen=True)
 class RunParams:
-    """Picklable per-run execution parameters shared by serial and workers."""
+    """Picklable per-run execution parameters shared by serial and workers.
+
+    The first block is what the slot driver (:func:`_run_group`) reads.  The
+    second wires shard construction and worker processes; an in-process
+    whole-population run (the vectorized backend) leaves it at its defaults.
+    """
 
     num_slots: int
-    environment_seed: int
     seed_label: int
-    record_probabilities: bool
-    dtype: str
-    window: int | None
     coupled: bool
-    num_networks: int
-    total_devices: int
-    heartbeat_seconds: float | None
+    window: int | None = None
+    heartbeat_seconds: float | None = None
     num_shards: int = 1
     attempt: int = 0
-    barrier_timeout_s: float = SupervisionConfig().barrier_timeout_s
     checkpoint: CheckpointConfig | None = None
     fingerprint: str | None = None
     fingerprint_config: dict | None = field(default=None)
     fault_plan: FaultPlan | None = None
+
+    environment_seed: int = 0
+    record_probabilities: bool = True
+    dtype: str = "float64"
+    num_networks: int = 0
+    total_devices: int = 0
+    barrier_timeout_s: float = SupervisionConfig().barrier_timeout_s
     resume: ResumeState | None = None
 
 
@@ -212,13 +223,26 @@ def _run_group(
     start_slot: int = 1,
     window_start: int = 0,
     allow_hard_exit: bool = False,
+    tag: str | None = None,
+    fuse_windows: bool = False,
 ):
     """Drive a group of shard engines through every slot in lockstep.
 
-    Returns the per-engine payloads: full shard results (gather mode) or the
-    reducer's per-shard states (streaming mode, ``params.window`` set).
-    ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
-    cursors; a fresh run starts at slot 1 with empty state.
+    The one slot loop of the batched backends: the sharded backend runs it
+    per worker, the vectorized backend for its single whole-population
+    engine.  Returns the per-engine payloads: full shard results (gather
+    mode) or the reducer's per-shard states (streaming mode,
+    ``params.window`` set).  ``start_slot``/``window_start``/``states`` carry
+    a restored checkpoint's cursors; a fresh run starts at slot 1 with empty
+    state.  ``delay_env`` serves the switching delays (and, for a
+    whole-population engine, is also its generic-physics environment).
+
+    ``fuse_windows`` lets membership-stable epochs advance as fused windows
+    (:meth:`ShardEngine.advance_epoch`) when the group is one
+    whole-population engine on the serial bus, the delay model is
+    stream-free and nothing is scheduled between slots (no reducer window,
+    checkpoint cadence or fault plan).  ``tag`` names the run in profiles
+    and ``fused_windows`` events (default ``sharded-worker<index>``).
     """
     if reducer is not None:
         from repro.analysis.reducers import ShardWindow  # lazy: import cycle
@@ -249,8 +273,27 @@ def _run_group(
         for engine in engines:
             engine.draw_barrier_every = checkpoint.every_slots
     fault_plan = params.fault_plan
+    fuse = (
+        fuse_windows
+        and len(engines) == 1
+        and params.num_shards == 1
+        and isinstance(bus, SerialBus)
+        and delay_table is not None
+        and window is None
+        and checkpoint is None
+        and fault_plan is None
+    )
+    # Epochs run between topology events; without fusion the whole run is
+    # one epoch advanced slot by slot.
+    boundaries = [start_slot, num_slots + 1]
+    if fuse:
+        boundaries[1:1] = [
+            slot for slot in engines[0].topology.event_slots if slot > start_slot
+        ]
+    executed_slots = num_slots - start_slot + 1
     group_devices = sum(len(engine.device_ids) for engine in engines)
-    prof = profile_run(f"sharded-worker{worker_index}")
+    tag = tag or f"sharded-worker{worker_index}"
+    prof = profile_run(tag)
     tele = get_telemetry()
     if tele is not None:
         tele.event(
@@ -266,187 +309,183 @@ def _run_group(
     started = time.monotonic()
     last_beat = started
 
-    for slot in range(start_slot, num_slots + 1):
-        _maybe_inject_kill(params, worker_index, slot, "begin", allow_hard_exit)
-        if prof is not None:
-            t = prof.now()
-        local_counts = engines[0].begin(slot)
-        if len(engines) > 1:
-            local_counts = local_counts.copy()
-            for engine in engines[1:]:
-                local_counts += engine.begin(slot)
-        if prof is not None:
-            t = prof.add("sampling", t)
-        if fault_plan is not None:
-            stall = fault_plan.delay_for(worker_index, slot, params.attempt)
-            if stall:
-                note_injected_fault(
-                    "delay_exchange", worker_index, slot, seconds=stall
-                )
-                time.sleep(stall)
-        counts = bus.reduce_counts(slot, local_counts)
-        if prof is not None:
-            t = prof.add("bus_exchange", t)
-        _maybe_inject_kill(params, worker_index, slot, "mid", allow_hard_exit)
-
-        per_engine_switchers: list[int] = []
-        group_rows: list[np.ndarray] = []
-        group_nets: list[np.ndarray] = []
-        for engine in engines:
-            rows, nets = engine.observe(slot, counts)
-            per_engine_switchers.append(rows.size)
-            if rows.size:
-                group_rows.append(rows + engine.row_offset)
-                group_nets.append(nets)
-        rows_global = (
-            np.concatenate(group_rows)
-            if group_rows
-            else np.empty(0, dtype=np.intp)
-        )
-        nets_global = (
-            np.concatenate(group_nets)
-            if group_nets
-            else np.empty(0, dtype=np.int64)
-        )
-        if prof is not None:
-            t = prof.add("physics", t)
-
-        if params.coupled:
-            # Stochastic delay model: every worker replays the *global*
-            # ascending-device-order draw on its own RNG replica, keeping
-            # the environment streams in lockstep across shard counts.
-            all_nets, offset = bus.exchange_switchers(
-                slot, rows_global, nets_global
-            )
-            if all_nets.size:
-                delays_all = np.asarray(
-                    delay_env.switching_delays(
-                        [int(net) for net in all_nets]
-                    ),
-                    dtype=float,
-                )
-                group_delays = delays_all[offset : offset + nets_global.size]
-            else:
-                group_delays = np.empty(0, dtype=float)
-        elif nets_global.size:
-            # Stream-free delay model: sampling consumes no RNG, so the
-            # group resolves its own switchers without any exchange.
-            group_delays = delay_table[
-                np.searchsorted(net_order, nets_global)
-            ]
-        else:
-            group_delays = np.empty(0, dtype=float)
-        if prof is not None:
-            t = prof.add("delays", t)
-
-        position = 0
-        for engine, switcher_count in zip(engines, per_engine_switchers):
-            engine.complete(
-                slot, group_delays[position : position + switcher_count]
-            )
-            position += switcher_count
-        if prof is not None:
-            t = prof.add("reward", t)
-
-        if reducer is not None and (
-            slot - window_start == window or slot == num_slots
-        ):
-            width = slot - window_start
-            for index, engine in enumerate(engines):
-                shard_window = ShardWindow(
-                    result=engine.window_result(width),
-                    slot_start=window_start,
-                    total_slots=num_slots,
-                    seed=params.seed_label,
-                )
-                states[index] = reducer.shard_map(shard_window, states[index])
-                engine.reset_window(slot)
-            window_start = slot
+    for epoch_start, epoch_end in zip(boundaries, boundaries[1:]):
+        if fuse:
             if prof is not None:
-                t = prof.add("recorder", t)
+                t = prof.now()
+            if engines[0].advance_epoch(epoch_start, epoch_end, delay_table):
+                if prof is not None:
+                    prof.add("fused_window", t)
+                continue
+        for slot in range(epoch_start, epoch_end):
+            _maybe_inject_kill(params, worker_index, slot, "begin", allow_hard_exit)
+            if prof is not None:
+                t = prof.now()
+            local_counts = engines[0].begin(slot)
+            if len(engines) > 1:
+                local_counts = local_counts.copy()
+                for engine in engines[1:]:
+                    local_counts += engine.begin(slot)
+            if prof is not None:
+                t = prof.add("sampling", t)
+            if fault_plan is not None:
+                stall = fault_plan.delay_for(worker_index, slot, params.attempt)
+                if stall:
+                    note_injected_fault(
+                        "delay_exchange", worker_index, slot, seconds=stall
+                    )
+                    time.sleep(stall)
+            counts = bus.reduce_counts(slot, local_counts)
+            if prof is not None:
+                t = prof.add("bus_exchange", t)
+            _maybe_inject_kill(params, worker_index, slot, "mid", allow_hard_exit)
 
-        if checkpoint is not None and slot % checkpoint.every_slots == 0:
-            # Snapshot after the window flush so the manifest's cursors and
-            # the pickled reducer states describe the same instant.  When the
-            # cadence lands exactly on a flush the recorder was just zeroed,
-            # so the snapshot may elide its blocks entirely.
-            ckpt_started = time.monotonic()
-            write_shard_states(
-                checkpoint,
-                slot,
-                engines,
-                states,
-                drop_recorder=(reducer is not None and window_start == slot),
-            )
-            if worker_index == 0:
-                write_environment(checkpoint, slot, delay_env)
-            bus.checkpoint_sync(slot)
-            if worker_index == 0:
-                commit_manifest(
+            observed = [engine.observe(slot, counts) for engine in engines]
+            if len(engines) == 1:
+                nets_global = observed[0][1]
+            else:
+                nets_global = np.concatenate([nets for _, nets in observed])
+            if prof is not None:
+                t = prof.add("physics", t)
+
+            if params.coupled:
+                # Stochastic delay model: every worker replays the *global*
+                # ascending-device-order draw on its own RNG replica, keeping
+                # the environment streams in lockstep across shard counts.
+                all_nets, offset = bus.exchange_switchers(slot, nets_global)
+                group_delays = (
+                    delay_env.switching_delays(all_nets.tolist())[
+                        offset : offset + nets_global.size
+                    ]
+                    if all_nets.size
+                    else ()
+                )
+            else:
+                # Stream-free delay model: sampling consumes no RNG, so the
+                # group resolves its own switchers without any exchange.
+                group_delays = delay_table[
+                    np.searchsorted(net_order, nets_global)
+                ]
+            if prof is not None:
+                t = prof.add("delays", t)
+
+            if len(engines) == 1:
+                engines[0].complete(slot, group_delays)
+            else:
+                position = 0
+                for engine, (rows, _) in zip(engines, observed):
+                    engine.complete(
+                        slot, group_delays[position : position + rows.size]
+                    )
+                    position += rows.size
+            if prof is not None:
+                t = prof.add("reward", t)
+
+            if reducer is not None and (
+                slot - window_start == window or slot == num_slots
+            ):
+                width = slot - window_start
+                for index, engine in enumerate(engines):
+                    shard_window = ShardWindow(
+                        result=engine.window_result(width),
+                        slot_start=window_start,
+                        total_slots=num_slots,
+                        seed=params.seed_label,
+                    )
+                    states[index] = reducer.shard_map(shard_window, states[index])
+                    engine.reset_window(slot)
+                window_start = slot
+                if prof is not None:
+                    t = prof.add("recorder", t)
+
+            if checkpoint is not None and slot % checkpoint.every_slots == 0:
+                # Snapshot after the window flush so the manifest's cursors
+                # and the pickled reducer states describe the same instant.
+                # When the cadence lands exactly on a flush the recorder was
+                # just zeroed, so the snapshot may elide its blocks entirely.
+                ckpt_started = time.monotonic()
+                write_shard_states(
                     checkpoint,
                     slot,
-                    params.fingerprint,
-                    params.fingerprint_config or {},
-                    window_start,
-                    params.num_shards,
+                    engines,
+                    states,
+                    drop_recorder=(reducer is not None and window_start == slot),
                 )
-                if fault_plan is not None:
-                    for fault in fault_plan.corruptions_at(slot):
-                        note_injected_fault(
-                            "corrupt_checkpoint",
-                            worker_index,
-                            slot,
-                            shard=fault.shard,
-                        )
-                        _garble_checkpoint_file(checkpoint, slot, fault.shard)
-            if tele is not None:
-                tele.event(
-                    "checkpoint_write",
-                    worker=worker_index,
-                    slot=slot,
-                    seconds=round(time.monotonic() - ckpt_started, 6),
-                )
-            if prof is not None:
-                t = prof.add("checkpoint", t)
-
-        _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
-
-        # Heartbeats: a telemetry-enabled run emits `progress` events (plus
-        # live gauges) instead of the old ad-hoc log line, which remains the
-        # fallback for log-only runs.
-        if params.heartbeat_seconds is not None and (
-            log_heartbeat or tele is not None
-        ):
-            now = time.monotonic()
-            if now - last_beat >= params.heartbeat_seconds:
-                elapsed = now - started
-                rate = group_devices * slot / max(elapsed, 1e-9)
+                if worker_index == 0:
+                    write_environment(checkpoint, slot, delay_env)
+                bus.checkpoint_sync(slot)
+                if worker_index == 0:
+                    commit_manifest(
+                        checkpoint,
+                        slot,
+                        params.fingerprint,
+                        params.fingerprint_config or {},
+                        window_start,
+                        params.num_shards,
+                    )
+                    if fault_plan is not None:
+                        for fault in fault_plan.corruptions_at(slot):
+                            note_injected_fault(
+                                "corrupt_checkpoint",
+                                worker_index,
+                                slot,
+                                shard=fault.shard,
+                            )
+                            _garble_checkpoint_file(checkpoint, slot, fault.shard)
                 if tele is not None:
-                    slot_gauge.set(slot)
-                    rate_gauge.set(rate)
                     tele.event(
-                        "progress",
+                        "checkpoint_write",
                         worker=worker_index,
                         slot=slot,
-                        num_slots=num_slots,
-                        device_slots_per_second=round(rate, 1),
+                        seconds=round(time.monotonic() - ckpt_started, 6),
                     )
-                elif log_heartbeat:
-                    logger.info(
-                        "sharded run: slot %d/%d (%.0f%%), "
-                        "%.2e device-slots/s in this group",
-                        slot,
-                        num_slots,
-                        100.0 * slot / num_slots,
-                        rate,
+                if prof is not None:
+                    t = prof.add("checkpoint", t)
+
+            _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
+
+            # Heartbeats: a telemetry-enabled run emits `progress` events
+            # (plus live gauges) instead of the old ad-hoc log line, which
+            # remains the fallback for log-only runs.  Rates count the slots
+            # this invocation executed, so a resumed run reports its own
+            # throughput.
+            if params.heartbeat_seconds is not None and (
+                log_heartbeat or tele is not None
+            ):
+                now = time.monotonic()
+                if now - last_beat >= params.heartbeat_seconds:
+                    elapsed = now - started
+                    rate = (
+                        group_devices
+                        * (slot - start_slot + 1)
+                        / max(elapsed, 1e-9)
                     )
-                last_beat = now
+                    if tele is not None:
+                        slot_gauge.set(slot)
+                        rate_gauge.set(rate)
+                        tele.event(
+                            "progress",
+                            worker=worker_index,
+                            slot=slot,
+                            num_slots=num_slots,
+                            device_slots_per_second=round(rate, 1),
+                        )
+                    elif log_heartbeat:
+                        logger.info(
+                            "sharded run: slot %d/%d (%.0f%%), "
+                            "%.2e device-slots/s in this group",
+                            slot,
+                            num_slots,
+                            100.0 * slot / num_slots,
+                            rate,
+                        )
+                    last_beat = now
 
     for engine in engines:
         engine.flush_policies()
     if prof is not None:
         prof.devices = group_devices
-        prof.slots = num_slots
+        prof.slots = executed_slots
         prof.emit(
             scenario=engines[0].scenario.name,
             seed=params.seed_label,
@@ -463,7 +502,7 @@ def _run_group(
         if truncations:
             tele.event(
                 "fused_windows",
-                tag=f"sharded-worker{worker_index}",
+                tag=tag,
                 windows=sum(truncations.values()),
                 reasons=truncations,
             )
@@ -474,7 +513,7 @@ def _run_group(
             slots=num_slots,
             seconds=round(elapsed, 6),
             device_slots_per_second=round(
-                group_devices * num_slots / max(elapsed, 1e-9), 1
+                group_devices * executed_slots / max(elapsed, 1e-9), 1
             ),
         )
     if reducer is not None:
@@ -557,7 +596,7 @@ def _shard_worker(
         if switcher_array is not None:
             switcher_view = np.frombuffer(
                 switcher_array, dtype=np.int64
-            ).reshape(2, params.total_devices, 2)
+            ).reshape(2, params.total_devices)
             switcher_counts_view = np.frombuffer(
                 switcher_counts_array, dtype=np.int64
             ).reshape(2, num_workers)
@@ -1042,7 +1081,7 @@ class ShardedSlotExecutor(SlotExecutor):
         counts_array = ctx.RawArray("q", 2 * workers * params.num_networks)
         switcher_array = switcher_counts_array = None
         if params.coupled:
-            switcher_array = ctx.RawArray("q", 2 * params.total_devices * 2)
+            switcher_array = ctx.RawArray("q", 2 * params.total_devices)
             switcher_counts_array = ctx.RawArray("q", 2 * workers)
         progress_array = ctx.RawArray("q", workers * 2)
         barrier = ctx.Barrier(workers)

@@ -6,7 +6,10 @@ join/leave churn, optional mobility and network outages, a mix of learning
 generic (noisy) physics, and stream-free or empirical switching delays — and
 asserts that ``vectorized``, ``vectorized-nokernel``, ``vectorized-nofuse``
 and the in-process sharded backend (1–3 shards, equal-share physics only)
-reproduce the ``event`` result column for column.
+reproduce the ``event`` result column for column.  Equal-share examples
+also run a checkpointed sharded execution with a generated shard count and
+cadence, then resume it from a generated mid-run snapshot; both results
+must equal the oracle too.
 
 Tier-1 runs a handful of examples.  A deeper run loads the profile
 registered in ``tests/conftest.py``::
@@ -17,6 +20,7 @@ registered in ``tests/conftest.py``::
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +31,8 @@ from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayMode
 from repro.sim.mobility import NetworkDynamics
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import TraceChurn, churn_scenario
-from repro.sim.sharded import ShardedSlotExecutor
+from repro.sim.sharded import CheckpointConfig, ShardedSlotExecutor
+from repro.sim.sharded.checkpoint import checkpoint_dir
 
 from tests.conftest import DIFFERENTIAL_DEEP_PROFILE
 from tests.test_backends import assert_results_identical
@@ -100,14 +105,39 @@ def scenarios(draw):
     return replace(scenario, gain_model=gain_model, delay_model=delay_model)
 
 
+def assert_resume_equals_the_oracle(oracle, scenario, seed, data) -> None:
+    """A checkpointed sharded run, and its resumption from a mid-run
+    snapshot, both reproduce the oracle."""
+    horizon = scenario.horizon_slots
+    shards = data.draw(st.integers(1, 3), label="shards")
+    every = data.draw(st.integers(1, horizon - 1), label="every_slots")
+    resume_slot = data.draw(
+        st.sampled_from(range(every, horizon, every)), label="resume_slot"
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        # Keep every snapshot so any mid-run slot can be resumed from.
+        config = CheckpointConfig(every_slots=every, dir=directory, keep=horizon)
+        durable = ShardedSlotExecutor(
+            shards=shards, workers=1, strict=True, checkpoint=config
+        )
+        assert_results_identical(oracle, durable.execute(scenario, seed))
+        resumed = ShardedSlotExecutor(
+            shards=shards,
+            workers=1,
+            strict=True,
+            resume_from=checkpoint_dir(config, resume_slot),
+        )
+        assert_results_identical(oracle, resumed.execute(scenario, seed))
+
+
 class TestDifferentialAgainstEventOracle:
     @settings(
         max_examples=EXAMPLES,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(scenario=scenarios(), seed=st.integers(0, 2**16))
-    def test_batched_executions_equal_the_event_oracle(self, scenario, seed):
+    @given(scenario=scenarios(), seed=st.integers(0, 2**16), data=st.data())
+    def test_batched_executions_equal_the_event_oracle(self, scenario, seed, data):
         oracle = run_simulation(scenario, seed=seed, backend="event")
         for backend in BATCHED_BACKENDS:
             assert_results_identical(
@@ -117,3 +147,4 @@ class TestDifferentialAgainstEventOracle:
             for shards in (1, 2, 3):
                 executor = ShardedSlotExecutor(shards=shards, workers=1, strict=True)
                 assert_results_identical(oracle, executor.execute(scenario, seed))
+            assert_resume_equals_the_oracle(oracle, scenario, seed, data)

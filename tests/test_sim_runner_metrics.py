@@ -150,20 +150,25 @@ class _ExplodingReducer(RowsReducer):
 
 class TestRunFailure:
     def test_pool_failure_names_the_cell(self, tiny_setting1):
-        with pytest.raises(RunFailure) as excinfo:
-            run_many(
-                tiny_setting1,
-                runs=3,
-                base_seed=10,
-                workers=2,
-                reduce=_ExplodingReducer(fail_seed=11),
-            )
-        err = excinfo.value
-        assert err.run_index == 1
-        assert err.seed_label == 11
-        assert err.scenario_name == tiny_setting1.name
-        assert "seed 11" in str(err)
-        assert "RuntimeError" in str(err)
+        # The process pool and the serial loop wrap a failing run alike.
+        for workers in (2, None):
+            with pytest.raises(RunFailure) as excinfo:
+                run_many(
+                    tiny_setting1,
+                    runs=3,
+                    base_seed=10,
+                    workers=workers,
+                    reduce=_ExplodingReducer(fail_seed=11),
+                )
+            err = excinfo.value
+            assert err.run_index == 1
+            assert err.seed_label == 11
+            assert err.scenario_name == tiny_setting1.name
+            assert "seed 11" in str(err)
+            assert "RuntimeError" in str(err)
+            if workers is None:
+                assert isinstance(err.__cause__, RuntimeError)
+                assert str(err.__cause__) == "synthetic reducer failure"
 
     def test_run_failure_survives_pool_pickling(self):
         err = RunFailure(

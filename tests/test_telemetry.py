@@ -224,6 +224,34 @@ class TestInstrumentation:
         kinds = set(types_of(read_events(tmp_path)))
         assert {"run_start", "worker_start", "worker_end", "run_end"} <= kinds
 
+    def test_resumed_run_reports_its_executed_slots(self, tmp_path):
+        from repro.sim.sharded.checkpoint import CheckpointConfig, checkpoint_dir
+        from repro.sim.sharded.executor import ShardedSlotExecutor
+
+        scenario = setting1_scenario(policy="exp3", num_devices=6, horizon_slots=80)
+        config = CheckpointConfig(every_slots=40, dir=tmp_path / "ckpt")
+        ShardedSlotExecutor(shards=2, workers=1, checkpoint=config).execute(
+            scenario, seed=2
+        )
+        set_telemetry_dir(tmp_path / "tele")
+        ShardedSlotExecutor(
+            shards=2, workers=1, resume_from=checkpoint_dir(config, 40)
+        ).execute(scenario, seed=2)
+        set_telemetry_dir(None)
+        events = read_events(tmp_path / "tele")
+        # Resumed after slot 40 of 80: the run executed slots 41..80 only.
+        executed = 80 - 40
+        (end,) = [e for e in events if e["type"] == "worker_end"]
+        assert end["device_slots_per_second"] * end["seconds"] == pytest.approx(
+            6 * executed, rel=1e-2
+        )
+        (profile,) = [e for e in events if e["type"] == "phase_profile"]
+        assert profile["slots"] == executed
+        # Only the draw windows of slots 41..80: the one cut at the slot-40
+        # checkpoint belongs to the first invocation.
+        (windows,) = [e for e in events if e["type"] == "fused_windows"]
+        assert windows["reasons"] == {"horizon": 2}
+
     def test_run_many_brackets(self, tmp_path, tiny_setting1):
         set_telemetry_dir(tmp_path)
         run_many(tiny_setting1, 2, base_seed=0, backend="vectorized",
@@ -279,10 +307,10 @@ class TestInstrumentation:
         assert config.telemetry_dir == str(tmp_path)
 
     def test_fused_window_truncation_reasons(self, tmp_path):
-        # The fused-window path requires a batch kernel (exp3; smart_exp3's
-        # reset machinery falls back to per-slot execution) *and* a
-        # stream-free delay model (setting1's empirical sampler draws RNG
-        # per switch, which forces the per-slot loop).
+        # The fused-window path requires one batch kernel covering every
+        # active row (exp3 or smart_exp3 alike) *and* a stream-free delay
+        # model (setting1's empirical sampler draws RNG per switch, which
+        # forces the per-slot loop).
         import dataclasses
 
         from repro.sim.delay import NoDelayModel
